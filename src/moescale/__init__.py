@@ -13,7 +13,6 @@ from .laws import (
     training_flops,
 )
 from .fitting import (
-    DenseFitReport,
     FitConfig,
     FitReport,
     StartDiagnostic,
@@ -37,7 +36,6 @@ from .inference import (
     cost_per_token,
     cost_table,
     fit_geometry,
-    iteration_latency,
     kv_cache_bytes_per_token,
     max_batch_size,
     min_cost_over_gpus,

@@ -54,10 +54,10 @@ from .inference import (
     GeometryFit,
     HardwareConfig,
     LatencyProfile,
+    _cheapest,
     cost_table,
     fit_geometry,
     max_batch_size,
-    min_cost_over_gpus,
     throughput,
 )
 from .laws import (
@@ -346,11 +346,9 @@ def cmd_cost(args) -> int:
     profile = _load_profile(args.profile)
     geom = _load_geometry(args)
     arch = _arch_config(args)
-    rows = [
-        {"kind": "gpu", **row}
-        for row in cost_table(args.n, args.e, hw, geom, profile, arch)
-    ]
-    choice = min_cost_over_gpus(args.n, args.e, hw, geom, profile, arch)
+    table = cost_table(args.n, args.e, hw, geom, profile, arch)
+    choice = _cheapest(table, args.n, args.e, hw, arch)
+    rows = [{"kind": "gpu", **row} for row in table]
     rows.append(
         {
             "kind": "min",

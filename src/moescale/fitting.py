@@ -4,7 +4,10 @@ The objective is a Huber loss on log-space residuals, minimized by L-BFGS-B
 from a grid of initializations (sampled when the full grid is too large).
 Expert anchors are fitted through the smooth reparameterization
 ``e_start = 1 + exp(u)``, ``e_max = e_start + exp(v)`` so their ordering
-constraints hold by construction. Gradients are analytic.
+constraints hold by construction. Each law has one kernel returning its
+log-space residuals and their Jacobian; the Huber gradient is
+``J^T clip(r, ±delta)`` from that kernel, and the trust-region polish calls
+the same kernel for its residuals and Jacobian.
 
 Runs are canonically sorted before anything touches them, which makes the
 holdout split, the objective value, and the fitted parameters bitwise
@@ -17,20 +20,25 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .errors import FitFailedError, IdentifiabilityWarning
-from .laws import DenseLawParams, ScalingLawParams, predict_loss, predict_loss_dense
+from .laws import (
+    DenseLawParams,
+    ScalingLawParams,
+    _effective_experts_core,
+    predict_loss,
+    predict_loss_dense,
+)
 
 __all__ = [
     "TrainingRun",
     "FitConfig",
     "StartDiagnostic",
     "FitReport",
-    "DenseFitReport",
     "huber",
     "objective",
     "rmsle",
@@ -170,39 +178,9 @@ class StartDiagnostic:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of :func:`fit_moe`."""
+    """Outcome of :func:`fit_moe` or :func:`fit_dense`."""
 
-    params: ScalingLawParams
-    objective: float
-    rmsle: float
-    rmsle_holdout: float | None
-    n_runs: int
-    n_train: int
-    n_holdout: int
-    starts_run: int
-    per_start: tuple[StartDiagnostic, ...]
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "objective": self.objective,
-            "rmsle": self.rmsle,
-            "rmsle_holdout": self.rmsle_holdout,
-            "n_runs": self.n_runs,
-            "n_train": self.n_train,
-            "n_holdout": self.n_holdout,
-            "starts_run": self.starts_run,
-            "per_start": [s.to_dict() for s in self.per_start],
-            "notes": list(self.notes),
-        }
-
-
-@dataclass(frozen=True)
-class DenseFitReport:
-    """Outcome of :func:`fit_dense`."""
-
-    params: DenseLawParams
+    params: ScalingLawParams | DenseLawParams
     objective: float
     rmsle: float
     rmsle_holdout: float | None
@@ -255,115 +233,101 @@ def _run_arrays(runs: Sequence[TrainingRun]):
     return np.log(n), np.log(d), e, y
 
 
-def _log_effective_experts(e: np.ndarray, e_start: float, e_max: float, gap: float) -> np.ndarray:
-    # spread = (1/e_start - 1/e_max)^-1 in a form immune to cancellation
-    # when the anchors sit close together.
-    spread = e_start * e_max / gap
-    e_hat = 1.0 / (1.0 / (e - 1.0 + spread) + 1.0 / e_max)
-    e_hat = np.where(e == 1.0, e_start, e_hat)
-    return np.log(e_hat)
+class _LawEval(NamedTuple):
+    """One law evaluated at a raw parameter vector over a set of runs.
 
-
-def _moe_residuals(theta, x, z, e, y):
-    """Log-space residuals of the expert-aware law at a raw parameter vector.
-
-    Returns (residuals, bracket, parts) where parts carries the per-term
-    powers needed by the gradient.
+    ``resid`` and ``jac`` are the log-space residuals and their Jacobian,
+    both zero on runs outside ``valid``; ``bracket`` and ``bracket_jac`` are
+    the additive bracket and its Jacobian on every run.
     """
+
+    resid: np.ndarray
+    jac: np.ndarray
+    bracket: np.ndarray
+    bracket_jac: np.ndarray
+    valid: np.ndarray
+
+
+def _moe_kernel(theta, x, z, e, y) -> _LawEval:
+    """The expert-aware law at theta = (alpha, beta, gamma, log coef_N,
+    log coef_E, log coef_D, interaction, irreducible, u, v), with
+    e_start = 1 + exp(u) and e_max = e_start + exp(v)."""
     alpha, beta, gamma, a_n, a_e, a_d, d_int, f, u, v = theta
     e_start = 1.0 + math.exp(u)
     gap = math.exp(v)
     e_max = e_start + gap
-    w = _log_effective_experts(e, e_start, e_max, gap)
+    e_hat = _effective_experts_core(e, e_start, e_max, gap)
+    w = np.log(e_hat)
     t_n = np.exp(a_n - alpha * x)
     t_e = np.exp(a_e - beta * w)
     t_d = np.exp(a_d - gamma * z)
     bracket = t_n + t_e + t_d + f
     valid = bracket > _BRACKET_FLOOR
-    resid = np.where(valid, np.log(np.where(valid, bracket, 1.0)) + d_int * x * w - y, 0.0)
-    return resid, bracket, (t_n, t_e, t_d, w, e_start, e_max, gap, valid)
 
-
-def _moe_objective_grad(theta, x, z, e, y, delta):
-    """Huber objective and its analytic gradient in the raw parameterization.
-
-    Parameter points driving any run's additive bracket nonpositive get a
-    large finite penalty whose gradient pushes the bracket back up.
-    """
-    alpha, beta, gamma, a_n, a_e, a_d, d_int, f, u, v = theta
-    resid, bracket, (t_n, t_e, t_d, w, e_start, e_max, gap, valid) = _moe_residuals(
-        theta, x, z, e, y
-    )
-
-    # d(log Ehat)/d(e_start), d(log Ehat)/d(e_max); exact at e == 1 too.
+    # d(log Ehat)/d(e_start) and d(log Ehat)/d(e_max), exact at e == 1 too,
+    # chained through u and v.
     spread = e_start * e_max / gap
     p = e - 1.0 + spread
-    e_hat = np.exp(w)
     dw_des = e_hat * spread**2 / (p**2 * e_start**2)
     dw_dem = e_hat * (1.0 / e_max**2 - spread**2 / (p**2 * e_max**2))
-    exp_u = e_start - 1.0
-    dw_du = (dw_des + dw_dem) * exp_u
+    dw_du = (dw_des + dw_dem) * (e_start - 1.0)
     dw_dv = dw_dem * gap
+    db_dw = -beta * t_e
+    # Built transposed: one row per parameter.
+    bracket_jt = np.array(
+        [
+            -x * t_n,
+            -w * t_e,
+            -z * t_d,
+            t_n,
+            t_e,
+            t_d,
+            np.zeros_like(x),
+            np.ones_like(x),
+            db_dw * dw_du,
+            db_dw * dw_dv,
+        ]
+    )
 
-    grad = np.zeros(10)
-    if not np.all(valid):
-        # Penalty branch: only the violating runs contribute, with slope
-        # steering the bracket back above the floor.
-        bad = ~valid
-        obj = _PENALTY_BASE + float(np.sum(_BRACKET_FLOOR - bracket[bad]))
-        s = np.where(bad, -1.0, 0.0)  # d(obj)/d(bracket)
-        db_dw = -beta * t_e
-        grad[0] = float(np.sum(s * (-x * t_n)))
-        grad[1] = float(np.sum(s * (-w * t_e)))
-        grad[2] = float(np.sum(s * (-z * t_d)))
-        grad[3] = float(np.sum(s * t_n))
-        grad[4] = float(np.sum(s * t_e))
-        grad[5] = float(np.sum(s * t_d))
-        grad[6] = 0.0
-        grad[7] = float(np.sum(s))
-        grad[8] = float(np.sum(s * db_dw * dw_du))
-        grad[9] = float(np.sum(s * db_dw * dw_dv))
-        return obj, grad
-
-    a = np.abs(resid)
-    obj = float(np.sum(np.where(a <= delta, 0.5 * resid * resid, delta * (a - 0.5 * delta))))
-    g = np.clip(resid, -delta, delta)  # d(huber)/d(residual)
-
-    inv_b = 1.0 / bracket
-    dr_dw = -beta * t_e * inv_b + d_int * x
-    grad[0] = float(np.sum(g * (-x * t_n * inv_b)))
-    grad[1] = float(np.sum(g * (-w * t_e * inv_b)))
-    grad[2] = float(np.sum(g * (-z * t_d * inv_b)))
-    grad[3] = float(np.sum(g * t_n * inv_b))
-    grad[4] = float(np.sum(g * t_e * inv_b))
-    grad[5] = float(np.sum(g * t_d * inv_b))
-    grad[6] = float(np.sum(g * x * w))
-    grad[7] = float(np.sum(g * inv_b))
-    grad[8] = float(np.sum(g * dr_dw * dw_du))
-    grad[9] = float(np.sum(g * dr_dw * dw_dv))
-    return obj, grad
+    safe_bracket = np.where(valid, bracket, 1.0)
+    resid = np.where(valid, np.log(safe_bracket) + d_int * x * w - y, 0.0)
+    # d(log bracket) plus the interaction term d_int * log N * log Ehat,
+    # which reaches u and v through log Ehat.
+    inv_b = 1.0 / safe_bracket
+    jt = bracket_jt * inv_b
+    jt[6] = x * w
+    dr_dw = db_dw * inv_b + d_int * x
+    jt[8] = dr_dw * dw_du
+    jt[9] = dr_dw * dw_dv
+    jt[:, ~valid] = 0.0
+    return _LawEval(resid, jt.T, bracket, bracket_jt.T, valid)
 
 
-def _dense_objective_grad(theta, x, z, y, delta):
+def _dense_kernel(theta, x, z, e, y) -> _LawEval:
+    """The dense law at theta = (alpha, beta, log coef_N, log coef_D, l0);
+    ``e`` is unused."""
     alpha, beta, a_n, a_d, l0 = theta
     t_n = np.exp(a_n - alpha * x)
     t_d = np.exp(a_d - beta * z)
-    bracket = t_n + t_d + l0  # l0 bounded >= 0, so always positive
-    resid = np.log(bracket) - y
-    a = np.abs(resid)
-    obj = float(np.sum(np.where(a <= delta, 0.5 * resid * resid, delta * (a - 0.5 * delta))))
-    g = np.clip(resid, -delta, delta)
-    inv_b = 1.0 / bracket
-    grad = np.array(
-        [
-            float(np.sum(g * (-x * t_n * inv_b))),
-            float(np.sum(g * (-z * t_d * inv_b))),
-            float(np.sum(g * t_n * inv_b)),
-            float(np.sum(g * t_d * inv_b)),
-            float(np.sum(g * inv_b)),
-        ]
-    )
-    return obj, grad
+    bracket = t_n + t_d + l0
+    bracket_jt = np.array([-x * t_n, -z * t_d, t_n, t_d, np.ones_like(x)])
+    # l0 is bounded >= 0, so the bracket stays positive and even a tiny one
+    # keeps its true log residual.
+    return _LawEval(np.log(bracket) - y, (bracket_jt * (1.0 / bracket)).T, bracket, bracket_jt.T, bracket > 0)
+
+
+def _objective_grad(ev: _LawEval, delta: float) -> tuple[float, np.ndarray]:
+    """Huber objective sum(huber(r, delta)) and its gradient J^T clip(r, ±delta).
+
+    Parameter points driving any run's additive bracket to the floor get a
+    large finite penalty instead, whose gradient (minus the violating runs'
+    summed bracket Jacobian) pushes those brackets back up.
+    """
+    if not ev.valid.all():
+        bad = ~ev.valid
+        obj = _PENALTY_BASE + float(np.sum(_BRACKET_FLOOR - ev.bracket[bad]))
+        return obj, -ev.bracket_jac[bad].sum(axis=0)
+    return float(np.sum(huber(ev.resid, delta))), ev.jac.T @ np.clip(ev.resid, -delta, delta)
 
 
 def objective(params: ScalingLawParams, runs: Sequence[TrainingRun], config: FitConfig | None = None) -> float:
@@ -376,10 +340,8 @@ def objective(params: ScalingLawParams, runs: Sequence[TrainingRun], config: Fit
     cfg = config or FitConfig()
     if len(runs) == 0:
         raise ValueError("runs must be non-empty")
-    x, z, e, y = _run_arrays(_sorted_runs(runs))
-    theta = _theta_from_params(params)
-    obj, _ = _moe_objective_grad(theta, x, z, e, y, cfg.huber_delta)
-    return obj
+    ev = _moe_kernel(_theta_from_params(params), *_run_arrays(_sorted_runs(runs)))
+    return _objective_grad(ev, cfg.huber_delta)[0]
 
 
 def _theta_from_params(params: ScalingLawParams) -> np.ndarray:
@@ -414,6 +376,17 @@ def _params_from_theta(theta: np.ndarray) -> ScalingLawParams:
         interaction=float(d_int),
         e_start=e_start,
         e_max=e_start + math.exp(v),
+    )
+
+
+def _dense_params_from_theta(theta: np.ndarray) -> DenseLawParams:
+    alpha, beta, a_n, a_d, l0 = theta
+    return DenseLawParams(
+        l0=float(l0),
+        coef_N=math.exp(a_n),
+        coef_D=math.exp(a_d),
+        alpha=float(alpha),
+        beta=float(beta),
     )
 
 
@@ -512,54 +485,24 @@ def _run_starts(starts, objective_grad, bounds, cfg, init_labels):
     return diagnostics, results
 
 
-def _moe_residual_vector(theta, x, z, e, y):
-    resid, bracket, parts = _moe_residuals(theta, x, z, e, y)
-    valid = parts[-1]
-    # Out-of-domain points get a huge flat residual; the polish never starts
-    # there, this just keeps the trust region away from the cliff.
-    return np.where(valid, resid, 1.0e6)
-
-
-def _moe_residual_jacobian(theta, x, z, e, y):
-    alpha, beta, gamma, a_n, a_e, a_d, d_int, f, u, v = theta
-    _, bracket, (t_n, t_e, t_d, w, e_start, e_max, gap, valid) = _moe_residuals(
-        theta, x, z, e, y
-    )
-    spread = e_start * e_max / gap
-    p = e - 1.0 + spread
-    e_hat = np.exp(w)
-    dw_des = e_hat * spread**2 / (p**2 * e_start**2)
-    dw_dem = e_hat * (1.0 / e_max**2 - spread**2 / (p**2 * e_max**2))
-    dw_du = (dw_des + dw_dem) * (e_start - 1.0)
-    dw_dv = dw_dem * gap
-    inv_b = np.where(valid, 1.0 / np.where(valid, bracket, 1.0), 0.0)
-    dr_dw = -beta * t_e * inv_b + d_int * x
-    jac = np.column_stack(
-        [
-            -x * t_n * inv_b,
-            -w * t_e * inv_b,
-            -z * t_d * inv_b,
-            t_n * inv_b,
-            t_e * inv_b,
-            t_d * inv_b,
-            x * w,
-            inv_b,
-            dr_dw * dw_du,
-            dr_dw * dw_dv,
-        ]
-    )
-    jac[~valid, :] = 0.0
-    return jac
-
-
-def _polish_least_squares(fun, jac, x_best, bounds, delta):
-    """Trust-region refinement of the winning start.
+def _polish_least_squares(kernel, data, x_best, bounds, delta):
+    """Trust-region refinement of one candidate from the multi-start search.
 
     ``least_squares`` with the 'huber' loss at f_scale = delta minimizes the
     identical objective (r^2/2 inside delta, delta*(|r| - delta/2) outside)
     and converges far tighter than a quasi-Newton step on this badly
     conditioned surface.
     """
+
+    def fun(theta):
+        ev = kernel(theta, *data)
+        # Out-of-domain points get a huge flat residual; the polish never
+        # starts there, this just keeps the trust region away from the cliff.
+        return np.where(ev.valid, ev.resid, 1.0e6)
+
+    def jac(theta):
+        return kernel(theta, *data).jac
+
     lb = np.array([b[0] for b in bounds])
     ub = np.array([b[1] for b in bounds])
     eps = float(np.finfo(float).eps)
@@ -590,13 +533,99 @@ _GRID_NOTE = (
 _RMSLE_NOTE = "rmsle is in-sample on the training split; rmsle_holdout scores the held-out split"
 
 
+def _fit(runs, cfg, *, kernel, axes, fixed, bounds, init_labels, to_params, score, design, min_runs):
+    """Multi-start fit shared by both laws.
+
+    Starts take ``axes`` from ``cfg.grid_spec`` (sampled down to
+    ``max_starts`` by ``rng_seed``) followed by the ``fixed`` values. Each
+    runs L-BFGS-B on the Huber objective of ``kernel``; candidates are then
+    polished in order of final objective (start index breaking ties), and
+    the first that evaluates cleanly on every supplied run wins.
+    """
+    if len(runs) == 0:
+        raise ValueError("runs must be non-empty")
+    ordered = _sorted_runs(runs)
+    notes = _identifiability_notes(ordered, design, min_runs)
+    for note in notes:
+        warnings.warn(note, IdentifiabilityWarning, stacklevel=3)
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    train, hold = _split_runs(ordered, cfg, rng)
+    data = _run_arrays(train)
+
+    def fg(theta):
+        return _objective_grad(kernel(theta, *data), cfg.huber_delta)
+
+    values = [np.asarray(cfg.grid_spec[name], dtype=float) for name in axes]
+    sizes = tuple(len(v) for v in values)
+    starts = []
+    for flat in _sample_start_ids(sizes, cfg, rng):
+        coords = np.unravel_index(int(flat), sizes)
+        starts.append(np.array([v[i] for v, i in zip(values, coords)] + list(fixed)))
+
+    diagnostics, results = _run_starts(starts, fg, bounds, cfg, init_labels)
+
+    everything = _run_arrays(ordered)
+    for fun, idx, vec in sorted(results, key=lambda t: (t[0], t[1])):
+        if not math.isfinite(fun):
+            continue
+        x_pol = _polish_least_squares(kernel, data, vec, bounds, cfg.huber_delta)
+        if x_pol is not None:
+            f_pol, _ = fg(x_pol)
+            if f_pol < fun:
+                fun, vec = f_pol, x_pol
+        # The winner must evaluate cleanly on every supplied run, held-out
+        # rows included; otherwise fall through to the next-best start.
+        if np.all(kernel(vec, *everything).valid):
+            break
+    else:
+        raise FitFailedError("no optimizer start produced a usable fit")
+
+    params = to_params(vec)
+    return FitReport(
+        params=params,
+        objective=fun,
+        rmsle=score(params, train),
+        rmsle_holdout=score(params, hold) if hold else None,
+        n_runs=len(ordered),
+        n_train=len(train),
+        n_holdout=len(hold),
+        starts_run=len(starts),
+        per_start=tuple(diagnostics),
+        notes=tuple(notes) + (_GRID_NOTE, _RMSLE_NOTE),
+    )
+
+
+_MOE_AXES = ("alpha", "beta", "gamma", "log_coef_n", "log_coef_e", "log_coef_d", "interaction", "irreducible")
+_MOE_BOUNDS = [
+    (0.0, 4.0),  # alpha
+    (0.0, 4.0),  # beta
+    (0.0, 4.0),  # gamma
+    (-60.0, 60.0),  # log coef_N
+    (-60.0, 60.0),  # log coef_E
+    (-60.0, 60.0),  # log coef_D
+    (-10.0, 30.0),  # interaction
+    (-10.0, 10.0),  # irreducible
+    (-30.0, 10.0),  # u
+    (-30.0, 15.0),  # v
+]
+
+
+def _moe_labels(x0) -> dict[str, float]:
+    e_start = 1.0 + math.exp(x0[8])
+    labels = {name: float(value) for name, value in zip(_MOE_AXES, x0)}
+    labels.update(e_start=e_start, e_max=e_start + math.exp(x0[9]))
+    return labels
+
+
 def fit_moe(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> FitReport:
     """Fit the expert-aware loss law to observed runs.
 
     Multi-start L-BFGS-B on the Huber log-space objective. Starts come from
-    ``config.grid_spec`` (sampled down to ``max_starts`` by ``rng_seed``);
-    the winner is the minimum final objective with start index breaking
-    ties, then refined once with tighter tolerances.
+    ``config.grid_spec`` (sampled down to ``max_starts`` by ``rng_seed``).
+    Candidates are polished by a trust-region refinement in order of final
+    objective, start index breaking ties; the first that evaluates cleanly
+    on every run wins.
 
     Args:
         runs: observed (n_dense, d_tokens, experts, val_loss) records;
@@ -612,204 +641,52 @@ def fit_moe(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> Fit
         FitFailedError: if no start produced a usable parameter point.
     """
     cfg = config or FitConfig()
-    if len(runs) == 0:
-        raise ValueError("runs must be non-empty")
-    ordered = _sorted_runs(runs)
-    notes = _identifiability_notes(
-        ordered, {"n_dense": "N", "d_tokens": "D", "experts": "E"}, minimum=10
-    )
-    for note in notes:
-        warnings.warn(note, IdentifiabilityWarning, stacklevel=2)
-
-    rng = np.random.default_rng(cfg.rng_seed)
-    train, hold = _split_runs(ordered, cfg, rng)
-    x, z, e, y = _run_arrays(train)
-
-    def fg(theta):
-        return _moe_objective_grad(theta, x, z, e, y, cfg.huber_delta)
-
-    grid = cfg.grid_spec
-    axes = ("alpha", "beta", "gamma", "log_coef_n", "log_coef_e", "log_coef_d", "interaction", "irreducible")
-    values = [np.asarray(grid[name], dtype=float) for name in axes]
-    sizes = tuple(len(v) for v in values)
-    ids = _sample_start_ids(sizes, cfg, rng)
-    u0 = math.log(cfg.e_start_init - 1.0)
-    v0 = math.log(cfg.e_max_init - cfg.e_start_init)
-    starts = []
-    for flat in ids:
-        coords = np.unravel_index(int(flat), sizes)
-        starts.append(np.array([values[k][coords[k]] for k in range(8)] + [u0, v0]))
-
-    bounds = [
-        (0.0, 4.0),  # alpha
-        (0.0, 4.0),  # beta
-        (0.0, 4.0),  # gamma
-        (-60.0, 60.0),  # log coef_N
-        (-60.0, 60.0),  # log coef_E
-        (-60.0, 60.0),  # log coef_D
-        (-10.0, 30.0),  # interaction
-        (-10.0, 10.0),  # irreducible
-        (-30.0, 10.0),  # u
-        (-30.0, 15.0),  # v
-    ]
-
-    def init_labels(x0):
-        e_start = 1.0 + math.exp(x0[8])
-        return {
-            "alpha": float(x0[0]),
-            "beta": float(x0[1]),
-            "gamma": float(x0[2]),
-            "log_coef_n": float(x0[3]),
-            "log_coef_e": float(x0[4]),
-            "log_coef_d": float(x0[5]),
-            "interaction": float(x0[6]),
-            "irreducible": float(x0[7]),
-            "e_start": e_start,
-            "e_max": e_start + math.exp(x0[9]),
-        }
-
-    diagnostics, results = _run_starts(starts, fg, bounds, cfg, init_labels)
-
-    def res_fun(theta):
-        return _moe_residual_vector(theta, x, z, e, y)
-
-    def res_jac(theta):
-        return _moe_residual_jacobian(theta, x, z, e, y)
-
-    x_all, z_all, e_all, y_all = _run_arrays(ordered)
-    best = None
-    for fun, idx, vec in sorted(results, key=lambda t: (t[0], t[1])):
-        if not math.isfinite(fun):
-            continue
-        x_pol = _polish_least_squares(res_fun, res_jac, vec, bounds, cfg.huber_delta)
-        if x_pol is not None:
-            f_pol, _ = fg(x_pol)
-            if f_pol < fun:
-                fun, vec = f_pol, x_pol
-        # The winner must evaluate cleanly on every supplied run, held-out
-        # rows included; otherwise fall through to the next-best start.
-        _, bracket_all, _ = _moe_residuals(vec, x_all, z_all, e_all, y_all)
-        if np.all(bracket_all > 0):
-            best = (fun, idx, vec)
-            break
-    if best is None:
-        raise FitFailedError("no optimizer start produced a usable fit")
-
-    params = _params_from_theta(best[2])
-    report_notes = tuple(notes) + (_GRID_NOTE, _RMSLE_NOTE)
-    return FitReport(
-        params=params,
-        objective=best[0],
-        rmsle=rmsle(params, train),
-        rmsle_holdout=rmsle(params, hold) if hold else None,
-        n_runs=len(ordered),
-        n_train=len(train),
-        n_holdout=len(hold),
-        starts_run=len(starts),
-        per_start=tuple(diagnostics),
-        notes=report_notes,
+    return _fit(
+        runs,
+        cfg,
+        kernel=_moe_kernel,
+        axes=_MOE_AXES,
+        fixed=(math.log(cfg.e_start_init - 1.0), math.log(cfg.e_max_init - cfg.e_start_init)),
+        bounds=_MOE_BOUNDS,
+        init_labels=_moe_labels,
+        to_params=_params_from_theta,
+        score=rmsle,
+        design={"n_dense": "N", "d_tokens": "D", "experts": "E"},
+        min_runs=10,
     )
 
 
-def fit_dense(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> DenseFitReport:
+# Positive-exponent floor keeps the fitted law inside its type's domain.
+_DENSE_BOUNDS = [
+    (1.0e-9, 4.0),  # alpha
+    (1.0e-9, 4.0),  # beta
+    (-60.0, 60.0),  # log coef_N
+    (-60.0, 60.0),  # log coef_D
+    (0.0, 50.0),  # l0
+]
+
+
+def fit_dense(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> FitReport:
     """Fit the dense two-term law to single-expert runs.
 
     Same machinery as :func:`fit_moe` on the reduced parameter vector
     (alpha, beta, log coefficients, irreducible), with the irreducible term
     bounded at zero. Rejects runs with experts != 1.
     """
-    cfg = config or FitConfig()
-    if len(runs) == 0:
-        raise ValueError("runs must be non-empty")
     if any(r.experts != 1 for r in runs):
         raise ValueError("fit_dense requires runs with experts = 1")
-    ordered = _sorted_runs(runs)
-    notes = _identifiability_notes(
-        ordered, {"n_dense": "N", "d_tokens": "D"}, minimum=6
-    )
-    for note in notes:
-        warnings.warn(note, IdentifiabilityWarning, stacklevel=2)
-
-    rng = np.random.default_rng(cfg.rng_seed)
-    train, hold = _split_runs(ordered, cfg, rng)
-    x, z, _, y = _run_arrays(train)
-
-    def fg(theta):
-        return _dense_objective_grad(theta, x, z, y, cfg.huber_delta)
-
-    grid = cfg.grid_spec
-    axes = ("alpha", "beta", "log_coef_n", "log_coef_d", "irreducible")
-    values = [np.asarray(grid[name], dtype=float) for name in axes]
-    sizes = tuple(len(v) for v in values)
-    ids = _sample_start_ids(sizes, cfg, rng)
-    starts = []
-    for flat in ids:
-        coords = np.unravel_index(int(flat), sizes)
-        starts.append(np.array([values[k][coords[k]] for k in range(5)]))
-
-    # Positive-exponent floor keeps the fitted law inside its type's domain.
-    bounds = [
-        (1.0e-9, 4.0),  # alpha
-        (1.0e-9, 4.0),  # beta
-        (-60.0, 60.0),  # log coef_N
-        (-60.0, 60.0),  # log coef_D
-        (0.0, 50.0),  # l0
-    ]
-
-    def init_labels(x0):
-        return {
-            "alpha": float(x0[0]),
-            "beta": float(x0[1]),
-            "log_coef_n": float(x0[2]),
-            "log_coef_d": float(x0[3]),
-            "l0": float(x0[4]),
-        }
-
-    diagnostics, results = _run_starts(starts, fg, bounds, cfg, init_labels)
-    finite = sorted((r for r in results if math.isfinite(r[0])), key=lambda t: (t[0], t[1]))
-    if not finite:
-        raise FitFailedError("no optimizer start produced a usable fit")
-    fun, idx, vec = finite[0]
-
-    def res_fun(theta):
-        al, be, a_n, a_d, l0 = theta
-        return np.log(np.exp(a_n - al * x) + np.exp(a_d - be * z) + l0) - y
-
-    def res_jac(theta):
-        al, be, a_n, a_d, l0 = theta
-        t_n = np.exp(a_n - al * x)
-        t_d = np.exp(a_d - be * z)
-        inv_b = 1.0 / (t_n + t_d + l0)
-        return np.column_stack(
-            [-x * t_n * inv_b, -z * t_d * inv_b, t_n * inv_b, t_d * inv_b, inv_b]
-        )
-
-    x_pol = _polish_least_squares(res_fun, res_jac, vec, bounds, cfg.huber_delta)
-    if x_pol is not None:
-        f_pol, _ = fg(x_pol)
-        if f_pol < fun:
-            fun, vec = f_pol, x_pol
-
-    alpha, beta, a_n, a_d, l0 = vec
-    params = DenseLawParams(
-        l0=float(l0),
-        coef_N=math.exp(a_n),
-        coef_D=math.exp(a_d),
-        alpha=float(alpha),
-        beta=float(beta),
-    )
-    report_notes = tuple(notes) + (_GRID_NOTE, _RMSLE_NOTE)
-    return DenseFitReport(
-        params=params,
-        objective=fun,
-        rmsle=rmsle_dense(params, train),
-        rmsle_holdout=rmsle_dense(params, hold) if hold else None,
-        n_runs=len(ordered),
-        n_train=len(train),
-        n_holdout=len(hold),
-        starts_run=len(starts),
-        per_start=tuple(diagnostics),
-        notes=report_notes,
+    return _fit(
+        runs,
+        config or FitConfig(),
+        kernel=_dense_kernel,
+        axes=("alpha", "beta", "log_coef_n", "log_coef_d", "irreducible"),
+        fixed=(),
+        bounds=_DENSE_BOUNDS,
+        init_labels=lambda x0: dict(zip(("alpha", "beta", "log_coef_n", "log_coef_d", "l0"), map(float, x0))),
+        to_params=_dense_params_from_theta,
+        score=rmsle_dense,
+        design={"n_dense": "N", "d_tokens": "D"},
+        min_runs=6,
     )
 
 

@@ -40,8 +40,6 @@ __all__ = [
     "fit_geometry",
     "kv_cache_bytes_per_token",
     "max_batch_size",
-    "iteration_latency",
-    "is_extrapolated",
     "throughput_for_batch",
     "throughput",
     "cost_per_token",
@@ -347,22 +345,6 @@ def max_batch_size(
     return headroom / (tokens_per_request * kv_cache_bytes_per_token(n_dense, geom, hw))
 
 
-def iteration_latency(
-    profile: LatencyProfile, stage: str, model_bytes: float, gpus: int, batch: float
-) -> float:
-    """Interpolated latency of one iteration, in seconds."""
-    value, _ = profile.interpolate(stage, model_bytes, gpus, batch)
-    return value
-
-
-def is_extrapolated(
-    profile: LatencyProfile, stage: str, model_bytes: float, gpus: int, batch: float
-) -> bool:
-    """True when this query falls outside the profiled hull."""
-    _, flag = profile.interpolate(stage, model_bytes, gpus, batch)
-    return flag
-
-
 def throughput_for_batch(
     batch: float,
     model_bytes: float,
@@ -380,17 +362,22 @@ def throughput_for_batch(
 
     A batch of zero serves nothing and returns 0.
     """
+    return _throughput_and_flag(batch, model_bytes, gpus, hw, profile)[0]
+
+
+def _throughput_and_flag(batch, model_bytes, gpus, hw, profile) -> tuple[float, bool]:
+    """:func:`throughput_for_batch` plus whether either stage lookup left the profiled hull."""
     if batch <= 0:
-        return 0.0
-    lat_prompt, _ = profile.interpolate("prompt", model_bytes, gpus, batch / hw.output_len)
-    lat_decode, _ = profile.interpolate("decode", model_bytes, gpus, batch)
+        return 0.0, False
+    lat_prompt, extrap_prompt = profile.interpolate("prompt", model_bytes, gpus, batch / hw.output_len)
+    lat_decode, extrap_decode = profile.interpolate("decode", model_bytes, gpus, batch)
     total = lat_prompt + lat_decode
     if total <= 0:
         raise ValueError(
             "interpolated iteration latency is nonpositive; "
             "profile does not extend to this query"
         )
-    return batch / total
+    return batch / total, extrap_prompt or extrap_decode
 
 
 def throughput(
@@ -453,16 +440,13 @@ def _row_for_gpus(n_dense, experts, g, hw, geom, profile, arch):
         row["note"] = f"weights do not fit; needs >= {exc.min_gpus} gpus"
         return row
     try:
-        rate = throughput_for_batch(batch, model_bytes, g, hw, profile)
+        rate, extrap = _throughput_and_flag(batch, model_bytes, g, hw, profile)
     except MissingProfileSliceError:
         row["note"] = "no profile slice at this gpu count"
         return row
     if rate <= 0:
         row["note"] = "zero throughput"
         return row
-    extrap = is_extrapolated(
-        profile, "prompt", model_bytes, g, batch / hw.output_len
-    ) or is_extrapolated(profile, "decode", model_bytes, g, batch)
     row.update(
         feasible=True,
         batch=batch,
@@ -504,7 +488,11 @@ def min_cost_over_gpus(
     Raises:
         NoFeasibleGpuError: every count in range is infeasible.
     """
-    rows = cost_table(n_dense, experts, hw, geom, profile, arch)
+    return _cheapest(cost_table(n_dense, experts, hw, geom, profile, arch), n_dense, experts, hw, arch)
+
+
+def _cheapest(rows, n_dense, experts, hw, arch) -> GpuCostChoice:
+    """Cheapest feasible row of a :func:`cost_table`; ties go to fewer GPUs."""
     best = None
     for row in rows:
         if not row["feasible"]:

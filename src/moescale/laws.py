@@ -217,14 +217,23 @@ def effective_experts(E, e_start: float, e_max: float):
     e = _as_float_array(E, "E")
     if np.any(e < 1.0):
         raise ValueError("expert count must be >= 1")
+    return _scalar_like(_effective_experts_core(e, e_start, e_max, e_max - e_start), E)
+
+
+def _effective_experts_core(e: np.ndarray, e_start: float, e_max: float, gap: float) -> np.ndarray:
+    """Unchecked transform with the anchor gap ``e_max - e_start`` passed in.
+
+    Callers that hold the gap directly (the fitter parameterizes it as
+    ``exp(v)``) keep it exact; recomputing it from nearby anchors would
+    cancel.
+    """
     # (1/e_start - 1/e_max)^-1, written without the subtraction so nearby
     # anchors don't cancel.
-    spread = e_start * e_max / (e_max - e_start)
+    spread = e_start * e_max / gap
     out = 1.0 / (1.0 / (e - 1.0 + spread) + 1.0 / e_max)
     # At E = 1 the transform collapses algebraically to e_start; pin it so
     # the anchor holds exactly instead of to round-off.
-    out = np.where(e == 1.0, e_start, out)
-    return _scalar_like(out, E)
+    return np.where(e == 1.0, e_start, out)
 
 
 def predict_loss(N, D, E, params: ScalingLawParams):

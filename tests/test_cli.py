@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from moescale import (
+    DenseLawParams,
     HardwareConfig,
+    ScalingLawParams,
     loss_optimal_result,
     min_cost_for_bounded_loss,
     predict_loss,
@@ -86,6 +88,27 @@ class TestFit:
         assert match and float(match.group(1)) < 1.0e-6
         assert results[0] == results[1]
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_moe_and_dense_reports_share_one_format(self, files, tmp_path):
+        reports = {}
+        for kind, extra in (("moe", ()), ("dense", ("--dense",))):
+            report = tmp_path / f"{kind}_report.json"
+            proc = run_cli(
+                "fit",
+                "--runs", str(files / "runs.csv"),
+                "--params", str(tmp_path / f"{kind}.json"),
+                "--report", str(report),
+                "--max-starts", "8",
+                *extra,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports[kind] = json.loads(report.read_text())
+        assert list(reports["moe"]) == list(reports["dense"])
+        ScalingLawParams.from_dict(reports["moe"]["params"])
+        DenseLawParams.from_dict(reports["dense"]["params"])
+        assert list(reports["dense"]["per_start"][0]["init"]) == [
+            "alpha", "beta", "log_coef_n", "log_coef_d", "l0",
+        ]
 
     def test_missing_column_exits_one(self, files, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -22,8 +22,11 @@ from moescale import (
     runs_to_csv,
 )
 from moescale.fitting import (
-    _dense_objective_grad,
-    _moe_objective_grad,
+    _BRACKET_FLOOR,
+    _PENALTY_BASE,
+    _dense_kernel,
+    _moe_kernel,
+    _objective_grad,
     _run_arrays,
     _theta_from_params,
 )
@@ -253,7 +256,8 @@ class TestFitDense:
 
 
 class TestAnalyticGradients:
-    """Central-difference checks away from the Huber knee and penalty branch."""
+    """Central-difference checks of J^T clip(r, ±delta) from each law's kernel,
+    away from the Huber knee, and of the MoE penalty branch."""
 
     # Residual offsets are either well inside the quadratic region or well
     # outside it; a finite-difference step cannot cross |r| = delta.
@@ -268,20 +272,44 @@ class TestAnalyticGradients:
             )
         return out
 
-    def test_moe_gradient_matches_finite_differences(self, truth, clean_runs64):
-        runs = self._offset_runs(clean_runs64)
-        x, z, e, y = _run_arrays(runs)
-        theta = _theta_from_params(truth)
-        delta = 1.0e-3
-        _, grad = _moe_objective_grad(theta, x, z, e, y, delta)
+    @staticmethod
+    def _check_against_finite_differences(kernel, theta, data, delta=1.0e-3):
+        _, grad = _objective_grad(kernel(theta, *data), delta)
         for k in range(len(theta)):
             h = 1.0e-6 * max(1.0, abs(theta[k]))
             tp, tm = theta.copy(), theta.copy()
             tp[k] += h
             tm[k] -= h
-            fp, _ = _moe_objective_grad(tp, x, z, e, y, delta)
-            fm, _ = _moe_objective_grad(tm, x, z, e, y, delta)
+            fp, _ = _objective_grad(kernel(tp, *data), delta)
+            fm, _ = _objective_grad(kernel(tm, *data), delta)
             fd = (fp - fm) / (2.0 * h)
+            np.testing.assert_allclose(grad[k], fd, rtol=1.0e-5, atol=1.0e-10)
+
+    def test_moe_gradient_matches_finite_differences(self, truth, clean_runs64):
+        data = _run_arrays(self._offset_runs(clean_runs64))
+        self._check_against_finite_differences(_moe_kernel, _theta_from_params(truth), data)
+
+    def test_moe_penalty_gradient_matches_finite_differences(self, truth, clean_runs64):
+        data = _run_arrays(clean_runs64)
+        theta = _theta_from_params(truth)
+        theta[7] = -1.3  # sinks some brackets below the floor, not all
+        ev = _moe_kernel(theta, *data)
+        bad = ~ev.valid
+        assert 0 < np.count_nonzero(bad) < len(bad)
+
+        # The penalty is a constant base plus the summed bracket deficit;
+        # difference the deficit alone, since the base would swamp the step.
+        def deficit(t):
+            return float(np.sum(_BRACKET_FLOOR - _moe_kernel(t, *data).bracket[bad]))
+
+        obj, grad = _objective_grad(ev, 1.0e-3)
+        assert obj == _PENALTY_BASE + deficit(theta)
+        for k in range(len(theta)):
+            h = 1.0e-6 * max(1.0, abs(theta[k]))
+            tp, tm = theta.copy(), theta.copy()
+            tp[k] += h
+            tm[k] -= h
+            fd = (deficit(tp) - deficit(tm)) / (2.0 * h)
             np.testing.assert_allclose(grad[k], fd, rtol=1.0e-5, atol=1.0e-10)
 
     def test_dense_gradient_matches_finite_differences(self, dense_truth):
@@ -293,7 +321,6 @@ class TestAnalyticGradients:
                 loss = float(predict_loss_dense(n, d, dense_truth)) * math.exp(off)
                 runs.append(TrainingRun(n, d, 1.0, loss))
                 i += 1
-        x, z, _, y = _run_arrays(runs)
         theta = np.array(
             [
                 dense_truth.alpha,
@@ -303,17 +330,25 @@ class TestAnalyticGradients:
                 dense_truth.l0,
             ]
         )
-        delta = 1.0e-3
-        _, grad = _dense_objective_grad(theta, x, z, y, delta)
-        for k in range(len(theta)):
-            h = 1.0e-6 * max(1.0, abs(theta[k]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += h
-            tm[k] -= h
-            fp, _ = _dense_objective_grad(tp, x, z, y, delta)
-            fm, _ = _dense_objective_grad(tm, x, z, y, delta)
-            fd = (fp - fm) / (2.0 * h)
-            np.testing.assert_allclose(grad[k], fd, rtol=1.0e-5, atol=1.0e-10)
+        self._check_against_finite_differences(_dense_kernel, theta, _run_arrays(runs))
+
+    def test_nearly_coincident_expert_anchors_stay_finite(self, truth, clean_runs64):
+        """At the fit's lower bound v = -30 the anchor gap is ~1e-13."""
+        data = _run_arrays(clean_runs64)
+        theta = _theta_from_params(truth)
+        theta[9] = -30.0
+        with np.errstate(all="raise"):
+            ev = _moe_kernel(theta, *data)
+            obj, grad = _objective_grad(ev, 1.0e-3)
+        assert ev.valid.all()
+        assert math.isfinite(obj)
+        assert np.all(np.isfinite(grad))
+        # The public law with the same anchors agrees with the kernel.
+        params = dataclasses.replace(truth, e_max=truth.e_start + math.exp(-30.0))
+        x, z, e, y = data
+        np.testing.assert_allclose(
+            ev.resid, np.log(predict_loss(np.exp(x), np.exp(z), e, params)) - y, rtol=0.0, atol=1.0e-12
+        )
 
 
 class TestRunsCsv:
