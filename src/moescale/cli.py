@@ -256,6 +256,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _predict_rows(kind, params, n_dense, d_tokens, experts):
+    """Predicted loss for one row of scalars or for whole columns as arrays.
+
+    Dense-law parameters accept only experts == 1.
+    """
+    if kind == "dense":
+        if np.any(experts != 1.0):
+            raise ValueError("dense-law parameters only predict experts=1 rows")
+        return predict_loss_dense(n_dense, d_tokens, params)
+    return predict_loss(n_dense, d_tokens, experts, params)
+
+
 def cmd_predict(args) -> int:
     kind, params = _load_any_params(args.params)
     if args.csv is not None:
@@ -274,13 +286,17 @@ def cmd_predict(args) -> int:
                         "experts": float(rec["experts"]),
                     }
                 )
-        for row in rows:
-            if kind == "dense":
-                if row["experts"] != 1.0:
-                    raise ValueError("dense-law parameters only predict experts=1 rows")
-                row["predicted_loss"] = predict_loss_dense(row["n_dense"], row["d_tokens"], params)
-            else:
-                row["predicted_loss"] = predict_loss(row["n_dense"], row["d_tokens"], row["experts"], params)
+        columns = [np.array([row[k] for row in rows]) for k in ("n_dense", "d_tokens", "experts")]
+        try:
+            losses = _predict_rows(kind, params, *columns)
+        except ValueError:
+            # Re-run row by row so the error is the one the first bad row
+            # raises, whatever faults later rows hold.
+            for row in rows:
+                _predict_rows(kind, params, row["n_dense"], row["d_tokens"], row["experts"])
+            raise
+        for row, loss in zip(rows, losses.tolist()):
+            row["predicted_loss"] = loss
         _emit(_table_text(rows, args.format), args.output)
         return 0
     if args.n is None or args.d is None:

@@ -12,6 +12,9 @@ the same kernel for its residuals and Jacobian.
 Runs are canonically sorted before anything touches them, which makes the
 holdout split, the objective value, and the fitted parameters bitwise
 invariant to the order rows arrive in (at a fixed ``rng_seed``).
+
+``scipy.optimize`` is imported on the first fit, not with this module, so
+commands that never fit do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .errors import FitFailedError, IdentifiabilityWarning
 from .laws import (
@@ -56,6 +58,23 @@ RUNS_CSV_COLUMNS = ("n_dense", "d_tokens", "experts", "val_loss")
 # against any sane fit, finite so the line search can walk back out.
 _PENALTY_BASE = 1.0e9
 _BRACKET_FLOOR = 1.0e-12
+
+
+# The optimizers stay module attributes, looked up at call time, so that a
+# caller can wrap or replace ``fitting.minimize``/``fitting.least_squares``
+# (benchmarks/tracer.py times them this way).
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, importing scipy on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, importing scipy on first use."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -494,14 +513,22 @@ def _polish_least_squares(kernel, data, x_best, bounds, delta):
     conditioned surface.
     """
 
+    # The TRF asks for the Jacobian only at points whose residuals it has
+    # just evaluated, so ``jac`` takes the kernel evaluation ``fun`` made
+    # there instead of repeating it. The entry is dropped once used: the TRF
+    # scales the Jacobian it is given in place.
+    last: dict[bytes, _LawEval] = {}
+
     def fun(theta):
-        ev = kernel(theta, *data)
+        last.clear()
+        ev = last[theta.tobytes()] = kernel(theta, *data)
         # Out-of-domain points get a huge flat residual; the polish never
         # starts there, this just keeps the trust region away from the cliff.
         return np.where(ev.valid, ev.resid, 1.0e6)
 
     def jac(theta):
-        return kernel(theta, *data).jac
+        ev = last.pop(theta.tobytes(), None)
+        return (ev if ev is not None else kernel(theta, *data)).jac
 
     lb = np.array([b[0] for b in bounds])
     ub = np.array([b[1] for b in bounds])

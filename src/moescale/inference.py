@@ -7,21 +7,27 @@ The chain is
     tokens/second + GPU pricing          ->  cost per generated token
 
 Latencies come from a profile of (stage, model_bytes, gpus, batch) samples
-interpolated bilinearly; queries outside the sampled hull extrapolate from
-the nearest edge and are flagged. KV-cache geometry uses the dense-equivalent
-model size (experts do not change hidden size or depth), while weight memory
-uses the expanded parameter count.
+interpolated bilinearly over batch and model bytes:
+
+    L = v00*(1-y0)*(1-y1) + v01*(1-y0)*y1 + v10*y0*(1-y1) + v11*y0*y1
+
+where y0 and y1 are the query's fractional positions in its grid cell.
+Queries outside the sampled hull use the edge cell on that axis, so the
+weight leaves [0, 1] and the surface extends linearly; they are flagged.
+KV-cache geometry uses the dense-equivalent model size (experts do not
+change hidden size or depth), while weight memory uses the expanded
+parameter count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     InsufficientMemoryError,
@@ -189,8 +195,15 @@ class LatencyProfile:
     Samples must form a complete rectangular (batch x model_bytes) grid for
     every (stage, gpus) slice present, with at least two distinct batch
     sizes and two distinct model sizes per slice. Lookups are pure and
-    thread-safe; queries outside a slice's hull extrapolate linearly from
-    the nearest edge and report it.
+    thread-safe.
+
+    A lookup finds the cell ``i = clip(bisect_right(grid, x) - 1, 0, n - 2)``
+    on each axis, takes the weight ``y = (x - grid[i]) / (grid[i+1] - grid[i])``
+    and sums the four corners as in the module docstring, in that order,
+    from 0.0. This is scipy's linear ``RegularGridInterpolator`` (with
+    ``fill_value=None``) term for term, so results match it bit for bit.
+    Queries outside a slice's hull fall in the edge cell and so extrapolate
+    linearly from the nearest edge; they report it.
     """
 
     def __init__(self, samples: Sequence[LatencySample]):
@@ -209,22 +222,16 @@ class LatencyProfile:
             cell[(s.batch, s.model_bytes)] = s.latency_s
         self._grids = {}
         for key, cell in by_slice.items():
-            batches = np.array(sorted({b for b, _ in cell}))
-            models = np.array(sorted({m for _, m in cell}))
+            batches = sorted({float(b) for b, _ in cell})
+            models = sorted({float(m) for _, m in cell})
             if len(batches) < 2 or len(models) < 2:
                 raise ValueError(
                     f"slice {key} needs >= 2 distinct batch sizes and model sizes"
                 )
             if len(cell) != len(batches) * len(models):
                 raise ValueError(f"slice {key} is not a complete rectangular grid")
-            values = np.empty((len(batches), len(models)))
-            for i, b in enumerate(batches):
-                for j, m in enumerate(models):
-                    values[i, j] = cell[(float(b), float(m))]
-            interp = RegularGridInterpolator(
-                (batches, models), values, method="linear", bounds_error=False, fill_value=None
-            )
-            self._grids[key] = (batches, models, interp)
+            values = [[float(cell[(b, m)]) for m in models] for b in batches]
+            self._grids[key] = (batches, models, values)
 
     @property
     def samples(self) -> tuple[LatencySample, ...]:
@@ -250,15 +257,24 @@ class LatencyProfile:
         key = (stage, int(gpus))
         if key not in self._grids:
             raise MissingProfileSliceError(stage, int(gpus))
-        batches, models, interp = self._grids[key]
-        value = float(interp(np.array([[batch, model_bytes]]))[0])
+        batches, models, values = self._grids[key]
+        i, y0 = _cell(batches, batch)
+        j, y1 = _cell(models, model_bytes)
+        lo, hi = values[i], values[i + 1]
+        value = (
+            0.0
+            + lo[j] * (1 - y0) * (1 - y1)
+            + lo[j + 1] * (1 - y0) * y1
+            + hi[j] * y0 * (1 - y1)
+            + hi[j + 1] * y0 * y1
+        )
         extrapolated = bool(
             batch < batches[0]
             or batch > batches[-1]
             or model_bytes < models[0]
             or model_bytes > models[-1]
         )
-        return value, extrapolated
+        return float(value), extrapolated
 
     @classmethod
     def from_json(cls, text: str) -> "LatencyProfile":
@@ -304,6 +320,13 @@ class LatencyProfile:
             ],
             indent=2,
         )
+
+
+def _cell(grid: list[float], x: float) -> tuple[int, float]:
+    """Index of the grid cell used for ``x`` (the edge cell outside the
+    grid) and ``x``'s fractional position in it."""
+    i = min(max(bisect_right(grid, x) - 1, 0), len(grid) - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
 def max_batch_size(

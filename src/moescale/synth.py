@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fitting import TrainingRun
 from .inference import (
@@ -266,6 +265,8 @@ def dense_optimal_numeric(
         n = math.exp(x)
         d = budget_flops / (flops_per_param_token * n)
         return predict_loss_dense(n, d, params)
+
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(
         objective,

@@ -171,6 +171,42 @@ class TestPredict:
             predict_loss_dense(1.0e9, 1.0e10, DENSE_TRUTH)
         )
 
+    @staticmethod
+    def predict_csv(files, tmp_path, params, lines, *extra):
+        path = tmp_path / "points.csv"
+        path.write_text("\n".join(["n_dense,d_tokens,experts", *lines]) + "\n")
+        return run_cli("predict", "--params", str(files / params), "--csv", str(path), *extra)
+
+    def test_header_only_csv_writes_an_empty_table(self, files, tmp_path):
+        out = tmp_path / "pred.out"
+        for fmt, expected in (("csv", b"\r\n"), ("json", b"[]\n")):
+            proc = self.predict_csv(files, tmp_path, "truth.json", [], "--format", fmt, "-o", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes() == expected
+
+    def test_nonpositive_size_row_exits_one(self, files, tmp_path):
+        proc = self.predict_csv(files, tmp_path, "truth.json", ["1e9,1e10,8", "0,1e10,8"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: N must be positive\n"
+
+    def test_dense_params_reject_expert_rows(self, files, tmp_path):
+        proc = self.predict_csv(files, tmp_path, "dense_truth.json", ["1e9,1e10,1", "1e9,1e10,4"])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: dense-law parameters only predict experts=1 rows\n"
+
+    @pytest.mark.parametrize(
+        "params, lines, message",
+        [
+            ("truth.json", ["1e9,1e10,0.5", "-1,1e10,8"], "expert count must be >= 1"),
+            ("dense_truth.json", ["-1,1e10,1", "1e9,1e10,4"], "N and D must be positive"),
+        ],
+    )
+    def test_first_bad_row_names_the_error(self, files, tmp_path, params, lines, message):
+        proc = self.predict_csv(files, tmp_path, params, lines)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
 
 class TestAllocate:
     def test_optimal_matches_library(self, files, arch, hw, geom, profile):
@@ -332,6 +368,30 @@ class TestVerify:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "[PASS]" in proc.stdout
         assert "[FAIL]" not in proc.stdout
+
+
+class TestColdImport:
+    def test_non_fit_commands_load_no_scipy(self, files, tmp_path):
+        """Importing the package and pricing a model loads no scipy module;
+        fit and verify still import the optimizers they need."""
+        argv = ["cost", "--n", "1e9", "--e", "8", *serving_flags(files), "-o", str(tmp_path / "cost.csv")]
+        script = "\n".join([
+            "import sys",
+            "import moescale, moescale.cli",
+            f"code = moescale.cli.main({argv!r})",
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]",
+            "print(code, loaded)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
+        fit = run_cli(
+            "fit", "--runs", str(files / "runs.csv"), "--params", str(tmp_path / "fit.json"),
+            "--max-starts", "4",
+        )
+        assert fit.returncode == 0, fit.stderr
+        verify = run_cli("verify", *serving_flags(files), "--steps", "2048")
+        assert verify.returncode == 0, verify.stdout + verify.stderr
 
 
 class TestEnvConfig:

@@ -206,6 +206,72 @@ class TestLatencyProfile:
             LatencyProfile.from_json(json.dumps([missing, missing]))
 
 
+def measured_style_profile(seed=3):
+    """Concave-in-batch latencies on batches 64/512/4096, some GPU counts missing."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for stage, scale in (("prompt", 4.0e-4), ("decode", 1.0e-4)):
+        for g in (1, 3, 4, 8):
+            for b in (64.0, 512.0, 4096.0):
+                for m in (2.0e8, 3.0e9, 4.0e10, 1.5e11):
+                    jitter = float(rng.uniform(0.9, 1.1))
+                    lat = (0.001 + scale * b**0.6 * (m / 1.0e9) ** 0.3 / g) * jitter
+                    samples.append(LatencySample(stage, m, g, b, lat))
+    return LatencyProfile(samples)
+
+
+class TestInterpolateMatchesScipy:
+    """The lookup is scipy's linear RegularGridInterpolator, bit for bit."""
+
+    @staticmethod
+    def check_slice(prof, stage, gpus, batch, model_bytes):
+        from scipy.interpolate import RegularGridInterpolator
+
+        rows = [s for s in prof.samples if (s.stage, s.gpus) == (stage, gpus)]
+        cell = {(s.batch, s.model_bytes): s.latency_s for s in rows}
+        batches = np.array(sorted({b for b, _ in cell}))
+        models = np.array(sorted({m for _, m in cell}))
+        values = np.array([[cell[(b, m)] for m in models] for b in batches])
+        oracle = RegularGridInterpolator(
+            (batches, models), values, method="linear", bounds_error=False, fill_value=None
+        )
+        want = oracle(np.column_stack([batch, model_bytes]))
+        got = [prof.interpolate(stage, m, gpus, b) for b, m in zip(batch, model_bytes)]
+        np.testing.assert_array_equal(
+            np.array([v for v, _ in got]).view(np.uint64), want.view(np.uint64)
+        )
+        hull = (
+            (batch < batches[0]) | (batch > batches[-1])
+            | (model_bytes < models[0]) | (model_bytes > models[-1])
+        )
+        np.testing.assert_array_equal([flag for _, flag in got], hull)
+
+    @staticmethod
+    def queries(prof, stage, gpus, rng, n):
+        """Every node, each upper edge against off-grid points, and n seeded
+        log-uniform points from 20x below to 20x above the hull."""
+        rows = [s for s in prof.samples if (s.stage, s.gpus) == (stage, gpus)]
+        batches = sorted({s.batch for s in rows})
+        models = sorted({s.model_bytes for s in rows})
+        nodes = [(b, m) for b in batches for m in models]
+        off_b = np.exp(rng.uniform(np.log(batches[0]), np.log(batches[-1]), 8))
+        off_m = np.exp(rng.uniform(np.log(models[0]), np.log(models[-1]), 8))
+        edges = [(batches[-1], m) for m in off_m] + [(b, models[-1]) for b in off_b]
+        wide_b = np.exp(rng.uniform(np.log(batches[0] / 20), np.log(batches[-1] * 20), n))
+        wide_m = np.exp(rng.uniform(np.log(models[0] / 20), np.log(models[-1] * 20), n))
+        points = np.array(nodes + edges + list(zip(wide_b, wide_m)))
+        return points[:, 0], points[:, 1]
+
+    @pytest.mark.parametrize("which", ["affine", "measured"])
+    def test_bitwise_equal_to_regular_grid_interpolator(self, which, profile):
+        prof = profile if which == "affine" else measured_style_profile()
+        rng = np.random.default_rng(17)
+        slices = prof.slices()
+        for stage, gpus in slices:
+            batch, model_bytes = self.queries(prof, stage, gpus, rng, 4000 // len(slices))
+            self.check_slice(prof, stage, gpus, batch, model_bytes)
+
+
 class TestThroughput:
     def test_constant_latency_halves_the_batch_rate(self):
         """1 s per prompt and per decode iteration: T = b / 2."""
