@@ -19,6 +19,11 @@ returning a wrong root. Serving cost along size is a nondecreasing
 envelope with upward jumps where the minimum feasible GPU count steps up,
 so the cost-bounded search brackets the feasible/infeasible transition with
 a coarse scan before bisecting the predicate.
+
+Inputs are checked once, before any search: ``SearchConfig`` checks its
+bounds, and ``moe_loss_optimal``, which every entry calls first, checks budget
+and experts. The loops then run the unchecked ``laws._loss``/``_expanded``;
+reported values still come from the public functions.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from .laws import (
     ArchitectureConvention,
     DenseLawParams,
     ScalingLawParams,
-    activated_params,
+    _expanded,
+    _experts,
+    _loss,
     predict_loss,
     training_flops,
 )
@@ -65,13 +72,11 @@ class SearchConfig:
     """Knobs for the one-dimensional searches.
 
     rel_tol is the relative-interval termination for golden-section and
-    bisection; n_bounds brackets model size in parameters; expert_candidates
-    is the default expert grid for sweeps.
+    bisection; n_bounds brackets model size in parameters.
     """
 
     rel_tol: float = 1e-6
     n_bounds: tuple[float, float] = (1e5, 1e13)
-    expert_candidates: tuple[int, ...] = (1, 4, 8, 16, 32)
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -79,8 +84,8 @@ class SearchConfig:
         lo, hi = self.n_bounds
         if not (0 < lo < hi):
             raise ValueError("n_bounds must satisfy 0 < lo < hi")
-        if len(self.expert_candidates) == 0 or any(e < 1 for e in self.expert_candidates):
-            raise ValueError("expert_candidates must be >= 1 and non-empty")
+        if not math.isfinite(hi):
+            raise ValueError("n_bounds must be finite")
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,29 @@ def dense_optimal(
 
 
 def _tokens_for(n_dense: float, budget: float, experts: float, arch: ArchitectureConvention) -> float:
-    return budget / (arch.flops_per_param_token * activated_params(n_dense, experts, arch))
+    activated = _expanded(n_dense, min(float(arch.top_k), experts), arch)
+    return budget / (arch.flops_per_param_token * activated)
 
 
 def _loss_on_slice(n_dense: float, budget: float, experts: float, params, arch) -> float:
-    return predict_loss(n_dense, _tokens_for(n_dense, budget, experts, arch), experts, params)
+    """Loss spending the whole budget at size n_dense; the tokens may still over- or underflow."""
+    d = _tokens_for(n_dense, budget, experts, arch)
+    if not math.isfinite(d):
+        raise ValueError("D must be finite")
+    if not d > 0:
+        raise ValueError("D must be positive")
+    return _loss(n_dense, d, experts, params)
+
+
+def _bisect(lower, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] down to width tol; ``lower(mid)`` true puts the root above mid."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lower(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def moe_loss_optimal(
@@ -151,6 +174,7 @@ def moe_loss_optimal(
     """
     if not budget_flops > 0:
         raise ValueError("budget_flops must be positive")
+    _experts(experts)
     lo = math.log(search.n_bounds[0])
     hi = math.log(search.n_bounds[1])
     lo0, hi0 = lo, hi
@@ -269,17 +293,13 @@ def min_cost_for_bounded_loss(
     if loss_at_lo < target:
         raise SearchBoundsError("lower", n_lo)
     _check_decreasing_branch(budget_flops, experts_prime, params, arch, n_lo, n_best)
-    lo, hi = math.log(n_lo), math.log(n_best)
-    while hi - lo > search.rel_tol:
-        mid = 0.5 * (lo + hi)
-        if _loss_on_slice(math.exp(mid), budget_flops, experts_prime, params, arch) > target:
-            lo = mid
-        else:
-            hi = mid
+    def above_target(x: float) -> bool:
+        return _loss_on_slice(math.exp(x), budget_flops, experts_prime, params, arch) > target
+
+    _, hi = _bisect(above_target, math.log(n_lo), math.log(n_best), search.rel_tol)
     # hi side satisfies loss <= target; keep the bound met
-    n_found = math.exp(hi)
     return _result_at(
-        n_found, budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
+        math.exp(hi), budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
     )
 
 
@@ -327,11 +347,12 @@ def min_loss_for_bounded_cost(
         return choice.cost_per_token <= limit
 
     n_lo = search.n_bounds[0]
-    if not feasible(n_lo):
-        try:
-            cheapest = min_cost_over_gpus(n_lo, experts_prime, hw, geom, profile, arch).cost_per_token
-        except NoFeasibleGpuError:
-            cheapest = math.inf
+    try:
+        cheapest = min_cost_over_gpus(n_lo, experts_prime, hw, geom, profile, arch).cost_per_token
+        reachable = cheapest <= limit
+    except NoFeasibleGpuError:
+        cheapest, reachable = math.inf, False
+    if not reachable:
         raise CostBoundUnreachableError(bound=bound, cheapest=cheapest)
     if feasible(n_best):
         return _result_at(
@@ -340,23 +361,16 @@ def min_loss_for_bounded_cost(
     # coarse scan isolates the last feasible size before the transition
     log_lo, log_hi = math.log(n_lo), math.log(n_best)
     scan = [log_lo + (log_hi - log_lo) * i / 63 for i in range(64)]
-    lo = log_lo
-    hi = log_hi
+    lo, hi = log_lo, log_hi
     for x in scan[1:]:
         if feasible(math.exp(x)):
             lo = x
         else:
             hi = x
             break
-    while hi - lo > search.rel_tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(math.exp(mid)):
-            lo = mid
-        else:
-            hi = mid
-    n_found = math.exp(lo)
+    lo, _ = _bisect(lambda x: feasible(math.exp(x)), lo, hi, search.rel_tol)
     return _result_at(
-        n_found, budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
+        math.exp(lo), budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
     )
 
 
@@ -383,22 +397,28 @@ def frontier_sweep(
     if geom is None or profile is None:
         raise ValueError("geom and profile are required")
 
-    def emit(budget, experts, kind, n, n_ref):
-        d = _tokens_for(n, budget, experts, arch)
-        row = {
+    def sweep_row(budget, experts, kind, **values) -> dict:
+        """One table row; the columns not given are left unpriced."""
+        return {
             "budget": budget,
             "experts": experts,
             "kind": kind,
-            "n_dense": n,
-            "d_tokens": d,
-            "predicted_loss": predict_loss(n, d, experts, params),
-            "training_flops": training_flops(n, d, experts, arch),
+            "n_dense": math.nan,
+            "d_tokens": math.nan,
+            "predicted_loss": math.nan,
+            "training_flops": math.nan,
             "cost_per_token": math.nan,
             "best_gpus": 0,
-            "overtrain_ratio": n / n_ref,
+            "overtrain_ratio": math.nan,
             "feasible": False,
             "note": "",
-        }
+        } | values
+
+    def emit(budget, experts, kind, n, n_ref):
+        d = _tokens_for(n, budget, experts, arch)
+        loss, flops = predict_loss(n, d, experts, params), training_flops(n, d, experts, arch)
+        row = sweep_row(budget, experts, kind, n_dense=n, d_tokens=d, predicted_loss=loss,
+                        training_flops=flops, overtrain_ratio=n / n_ref)
         try:
             choice = min_cost_over_gpus(n, experts, hw, geom, profile, arch)
         except NoFeasibleGpuError as exc:
@@ -413,22 +433,7 @@ def frontier_sweep(
             try:
                 n_opt, _, _ = moe_loss_optimal(budget, experts, params, arch, search)
             except SearchBoundsError as exc:
-                rows.append(
-                    {
-                        "budget": budget,
-                        "experts": experts,
-                        "kind": "optimal",
-                        "n_dense": math.nan,
-                        "d_tokens": math.nan,
-                        "predicted_loss": math.nan,
-                        "training_flops": math.nan,
-                        "cost_per_token": math.nan,
-                        "best_gpus": 0,
-                        "overtrain_ratio": math.nan,
-                        "feasible": False,
-                        "note": str(exc),
-                    }
-                )
+                rows.append(sweep_row(budget, experts, "optimal", note=str(exc)))
                 continue
             rows.append(emit(budget, experts, "optimal", n_opt, n_opt))
             span_lo, span_hi = curve_span
@@ -468,11 +473,7 @@ def flops_ratio_to_match(
         raise SearchBoundsError("lower", lo_budget)
     if excess(hi_budget) > 0:
         raise SearchBoundsError("upper", hi_budget)
-    lo, hi = math.log(lo_budget), math.log(hi_budget)
-    while hi - lo > search.rel_tol:
-        mid = 0.5 * (lo + hi)
-        if excess(math.exp(mid)) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(
+        lambda x: excess(math.exp(x)) > 0, math.log(lo_budget), math.log(hi_budget), search.rel_tol
+    )
     return math.exp(0.5 * (lo + hi)) / budget_base

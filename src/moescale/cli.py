@@ -363,20 +363,8 @@ def cmd_cost(args) -> int:
     geom = _load_geometry(args)
     arch = _arch_config(args)
     table = cost_table(args.n, args.e, hw, geom, profile, arch)
-    choice = _cheapest(table, args.n, args.e, hw, arch)
     rows = [{"kind": "gpu", **row} for row in table]
-    rows.append(
-        {
-            "kind": "min",
-            "gpus": choice.gpus,
-            "feasible": True,
-            "batch": choice.batch,
-            "throughput": choice.throughput,
-            "cost_per_token": choice.cost_per_token,
-            "extrapolated": choice.extrapolated,
-            "note": "",
-        }
-    )
+    rows.append({"kind": "min", **_cheapest(table, args.n, args.e, hw, arch)})
     _emit(_table_text(rows, args.format), args.output)
     return 0
 

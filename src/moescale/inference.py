@@ -445,8 +445,7 @@ class GpuCostChoice:
     extrapolated: bool
 
 
-def _row_for_gpus(n_dense, experts, g, hw, geom, profile, arch):
-    n_total = total_params(n_dense, experts, arch)
+def _row_for_gpus(n_dense, n_total, g, hw, geom, profile):
     model_bytes = n_total * hw.dtype_bytes
     row = {
         "gpus": g,
@@ -489,10 +488,8 @@ def cost_table(
     arch: ArchitectureConvention = ArchitectureConvention(),
 ) -> list[dict]:
     """Per-GPU-count serving table for one model (1..max_gpus, all rows kept)."""
-    return [
-        _row_for_gpus(n_dense, experts, g, hw, geom, profile, arch)
-        for g in range(1, hw.max_gpus + 1)
-    ]
+    n_total = total_params(n_dense, experts, arch)
+    return [_row_for_gpus(n_dense, n_total, g, hw, geom, profile) for g in range(1, hw.max_gpus + 1)]
 
 
 def min_cost_over_gpus(
@@ -511,10 +508,11 @@ def min_cost_over_gpus(
     Raises:
         NoFeasibleGpuError: every count in range is infeasible.
     """
-    return _cheapest(cost_table(n_dense, experts, hw, geom, profile, arch), n_dense, experts, hw, arch)
+    row = _cheapest(cost_table(n_dense, experts, hw, geom, profile, arch), n_dense, experts, hw, arch)
+    return GpuCostChoice(**{f.name: row[f.name] for f in fields(GpuCostChoice)})
 
 
-def _cheapest(rows, n_dense, experts, hw, arch) -> GpuCostChoice:
+def _cheapest(rows, n_dense, experts, hw, arch) -> dict:
     """Cheapest feasible row of a :func:`cost_table`; ties go to fewer GPUs."""
     best = None
     for row in rows:
@@ -527,10 +525,4 @@ def _cheapest(rows, n_dense, experts, hw, arch) -> GpuCostChoice:
         raise NoFeasibleGpuError(
             required_bytes=n_total * hw.dtype_bytes, max_gpus=hw.max_gpus
         )
-    return GpuCostChoice(
-        gpus=best["gpus"],
-        cost_per_token=best["cost_per_token"],
-        throughput=best["throughput"],
-        batch=best["batch"],
-        extrapolated=best["extrapolated"],
-    )
+    return best

@@ -378,3 +378,85 @@ class TestOvertrainCharacterization:
             )
             assert 0.0 < r.overtrain_ratio <= 1.0
             ratios.append(r.overtrain_ratio)
+
+
+def _entries(truth, arch, hw, geom, profile):
+    """Every public allocation entry as f(budget, experts_base, experts_prime)."""
+    serving = {"hw": hw, "geom": geom, "profile": profile}
+    return {
+        "moe_loss_optimal": lambda b, e0, e1: moe_loss_optimal(b, e1, truth, arch),
+        "loss_optimal_result": lambda b, e0, e1: loss_optimal_result(b, e1, truth, arch, **serving),
+        "bound_loss": lambda b, e0, e1: min_cost_for_bounded_loss(b, e0, e1, truth, arch, **serving),
+        "bound_cost": lambda b, e0, e1: min_loss_for_bounded_cost(b, e0, e1, truth, arch, **serving),
+        "frontier_sweep": lambda b, e0, e1: frontier_sweep([b], [e0, e1], truth, arch, **serving),
+        "flops_ratio": lambda b, e0, e1: flops_ratio_to_match(b, e0, e1, truth, arch),
+    }
+
+
+ENTRIES = ("moe_loss_optimal", "loss_optimal_result", "bound_loss", "bound_cost", "frontier_sweep", "flops_ratio")
+BAD_EXPERTS = [(0.5, "expert count must be >= 1"), (math.nan, "E must be finite"), (math.inf, "E must be finite")]
+
+
+class TestInputBoundary:
+    """Budget and experts are checked once, before any search evaluates the law."""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "budget,experts,message",
+        [(BUDGET, e, m) for e, m in BAD_EXPERTS]
+        + [(0.0, 8.0, "budget_flops must be positive"), (math.nan, 8.0, "budget_flops must be positive")],
+    )
+    def test_bad_input_raises_before_any_search(
+        self, entry, budget, experts, message, truth, arch, hw, geom, profile, monkeypatch
+    ):
+        import moescale.allocation as alloc
+
+        def searched(*args):
+            raise AssertionError("a search ran before the inputs were checked")
+
+        monkeypatch.setattr(alloc, "_loss", searched)
+        monkeypatch.setattr(alloc, "min_cost_over_gpus", searched)
+        with pytest.raises(ValueError) as exc:
+            _entries(truth, arch, hw, geom, profile)[entry](budget, experts, experts)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("experts,message", BAD_EXPERTS)
+    def test_bad_alternative_experts_raise(self, entry, experts, message, truth, arch, hw, geom, profile):
+        with pytest.raises(ValueError) as exc:
+            _entries(truth, arch, hw, geom, profile)[entry](BUDGET, 4.0, experts)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            ((1.0e5, math.inf), "n_bounds must be finite"),
+            ((math.nan, 1.0e13), "n_bounds must satisfy 0 < lo < hi"),
+            ((1.0e5, math.nan), "n_bounds must satisfy 0 < lo < hi"),
+            ((math.inf, math.inf), "n_bounds must satisfy 0 < lo < hi"),
+        ],
+    )
+    def test_search_config_rejects_nonfinite_bounds(self, bounds, message):
+        with pytest.raises(ValueError) as exc:
+            SearchConfig(n_bounds=bounds)
+        assert str(exc.value) == message
+
+    def test_overflowing_tokens_still_raise(self, truth, arch, hw, geom, profile):
+        """A tiny lower bound leaves no parameters to spend the budget on."""
+        search = SearchConfig(n_bounds=(1.0e-300, 1.0e13))
+        with pytest.raises(ValueError, match="D must be finite"):
+            min_cost_for_bounded_loss(BUDGET, 4.0, 16.0, truth, arch, hw, geom, profile, search)
+
+    def test_searches_report_through_the_public_law_only(self, truth, arch, hw, geom, profile, monkeypatch):
+        """The loops evaluate the unchecked core; predict_loss prices only
+        what is returned (each optimum and the reported row)."""
+        import moescale.allocation as alloc
+
+        calls = []
+        public = alloc.predict_loss
+        monkeypatch.setattr(alloc, "predict_loss", lambda *args: calls.append(args) or public(*args))
+        moe_loss_optimal(BUDGET, 8.0, truth, arch)
+        assert len(calls) == 1
+        calls.clear()
+        min_cost_for_bounded_loss(BUDGET, 4.0, 16.0, truth, arch, hw, geom, profile)
+        assert len(calls) == 3

@@ -256,6 +256,25 @@ class TestAllocate:
         assert proc.returncode == 2
         assert "bound" in proc.stderr.lower()
 
+    def test_infinite_search_bound_exits_one(self, files):
+        proc = run_cli(
+            "allocate", "--params", str(files / "truth.json"),
+            "--budget", "1e20", "--n-max", "inf",
+            *serving_flags(files),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: n_bounds must be finite\n"
+
+    def test_overflowing_tokens_exit_one(self, files):
+        proc = run_cli(
+            "allocate", "--params", str(files / "truth.json"),
+            "--budget", "1e20", "--mode", "bound-loss", "--e-base", "4", "--e-prime", "16",
+            "--n-min", "1e-300",
+            *serving_flags(files),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: D must be finite\n"
+
     def test_duality_round_trip(self, files, arch, hw, geom, profile):
         r1 = min_cost_for_bounded_loss(1.0e20, 4.0, 16.0, TRUTH, arch, hw, geom, profile)
         base = loss_optimal_result(1.0e20, 4.0, TRUTH, arch, hw, geom, profile)
@@ -316,6 +335,10 @@ class TestCost:
         choice = min_cost_over_gpus(1.0e9, 8.0, hw, geom, profile)
         assert float(min_rows[0]["cost_per_token"]) == choice.cost_per_token
         assert int(float(min_rows[0]["gpus"])) == choice.gpus
+        cheapest = min(
+            (r for r in gpu_rows if r["feasible"] == "True"), key=lambda r: float(r["cost_per_token"])
+        )
+        assert min_rows[0] == {**cheapest, "kind": "min"}
 
     def test_infeasible_rows_flagged(self, files):
         proc = run_cli(

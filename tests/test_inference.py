@@ -391,6 +391,15 @@ class TestMinCostOverGpus:
         assert [r["gpus"] for r in rows] == list(range(1, 9))
         assert all(set(r) >= {"gpus", "feasible", "batch", "throughput", "cost_per_token"} for r in rows)
 
+    def test_cost_table_sizes_the_model_once(self, geom, profile, hw, monkeypatch):
+        import moescale.inference as inference
+
+        calls = []
+        public = inference.total_params
+        monkeypatch.setattr(inference, "total_params", lambda *args: calls.append(args) or public(*args))
+        cost_table(1.0e9, 8.0, hw, geom, profile)
+        assert len(calls) == 1
+
 
 class TestHardwareConfig:
     def test_defaults(self, hw):

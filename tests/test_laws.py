@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moescale import (
     ArchitectureConvention,
@@ -19,6 +21,7 @@ from moescale import (
     total_params,
     training_flops,
 )
+from moescale.laws import _expanded, _loss
 
 from conftest import DENSE_TRUTH, TRUTH
 
@@ -310,6 +313,7 @@ class TestParamSerialization:
             ("gamma", 4.5),
             ("e_start", 0.9),
             ("e_max", 1.4),  # must exceed e_start = 1.4
+            ("e_max", math.inf),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
@@ -321,3 +325,72 @@ class TestParamSerialization:
             dataclasses.replace(DENSE_TRUTH, coef_N=0.0)
         with pytest.raises(ValueError):
             dataclasses.replace(DENSE_TRUTH, beta=5.0)
+
+
+@st.composite
+def laws(draw):
+    """Valid expert laws; irreducible reaches far enough below zero that
+    some points sink the bracket."""
+    e_start = draw(st.floats(1.0, 8.0))
+    return ScalingLawParams(
+        coef_N=draw(st.floats(1e-2, 1e3)),
+        coef_E=draw(st.floats(1e-2, 10.0)),
+        coef_D=draw(st.floats(1e-2, 1e3)),
+        irreducible=draw(st.floats(-3.0, 3.0)),
+        alpha=draw(st.floats(0.0, 1.0)),
+        beta=draw(st.floats(0.0, 1.0)),
+        gamma=draw(st.floats(0.0, 1.0)),
+        interaction=draw(st.floats(-0.05, 0.05)),
+        e_start=e_start,
+        e_max=e_start + draw(st.floats(1e-3, 200.0)),
+    )
+
+
+sizes = st.floats(1e4, 1e14)
+tokens = st.floats(1e6, 1e14)
+experts = st.one_of(st.just(1.0), st.floats(1.0, 256.0))
+
+
+def _outcome(fn, *args):
+    """Result bits, or the error message: what a caller can observe."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestUncheckedCores:
+    """The cores the searches call are the public functions' arithmetic, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(laws(), sizes, tokens, experts)
+    def test_loss_core_equals_predict_loss_on_scalars(self, params, n, d, e):
+        assert _outcome(_loss, n, d, e, params) == _outcome(predict_loss, n, d, e, params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(laws(), st.lists(st.tuples(sizes, tokens, experts), min_size=1, max_size=8))
+    def test_loss_core_equals_predict_loss_on_arrays(self, params, points):
+        n, d, e = (np.array(column) for column in zip(*points))
+        assert _outcome(_loss, n, d, e, params) == _outcome(predict_loss, n, d, e, params)
+
+    def test_loss_core_raises_the_bracket_error(self):
+        params = dataclasses.replace(TRUTH, irreducible=-1.15)
+        with pytest.raises(ValueError, match="bracket is nonpositive") as public:
+            predict_loss(1.0e12, 1.0e14, 32.0, params)
+        with pytest.raises(ValueError, match="bracket is nonpositive") as core:
+            _loss(1.0e12, 1.0e14, 32.0, params)
+        assert str(core.value) == str(public.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes,
+        experts,
+        st.floats(0.0, 1.0),
+        st.integers(1, 8),
+    )
+    def test_expanded_equals_the_counts(self, n, e, ffn, top_k):
+        arch = ArchitectureConvention(ffn_fraction=ffn, top_k=top_k)
+        assert _expanded(n, e, arch) == total_params(n, e, arch)
+        assert _expanded(n, min(float(top_k), e), arch) == activated_params(n, e, arch)
+        e_arr = np.array([1.0, e])
+        np.testing.assert_array_equal(_expanded(n, e_arr, arch), total_params(n, e_arr, arch))
