@@ -28,11 +28,13 @@ from .fitting import (
     runs_to_csv,
 )
 from .inference import (
+    CostGrid,
     GeometryFit,
     GpuCostChoice,
     HardwareConfig,
     LatencyProfile,
     LatencySample,
+    cost_grid,
     cost_per_token,
     cost_table,
     fit_geometry,

@@ -18,12 +18,16 @@ empirically before every bisection; a violation raises instead of quietly
 returning a wrong root. Serving cost along size is a nondecreasing
 envelope with upward jumps where the minimum feasible GPU count steps up,
 so the cost-bounded search brackets the feasible/infeasible transition with
-a coarse scan before bisecting the predicate.
+a coarse scan before bisecting the predicate. Both price many sizes per
+call of ``inference.cost_grid``: the scan in one call, the bisection the
+next few levels of midpoints at a time.
 
 Inputs are checked once, before any search: ``SearchConfig`` checks its
-bounds, and ``moe_loss_optimal``, which every entry calls first, checks budget
-and experts. The loops then run the unchecked ``laws._loss``/``_expanded``;
-reported values still come from the public functions.
+bounds and tolerance, and ``moe_loss_optimal``, which every entry calls
+first, checks budget and experts (``frontier_sweep`` checks every pair
+before its loop). The loops then run the unchecked
+``laws._loss``/``_expanded``; reported values still come from the public
+functions.
 """
 
 from __future__ import annotations
@@ -31,14 +35,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import (
     CostBoundUnreachableError,
-    NoFeasibleGpuError,
     NonMonotoneBranchError,
     QualityBoundUnreachableError,
     SearchBoundsError,
 )
-from .inference import GeometryFit, GpuCostChoice, HardwareConfig, LatencyProfile, min_cost_over_gpus
+from .inference import (
+    GeometryFit,
+    GpuCostChoice,
+    HardwareConfig,
+    LatencyProfile,
+    _cheapest_choices,
+    cost_table,
+    min_cost_over_gpus,
+)
 from .laws import (
     ArchitectureConvention,
     DenseLawParams,
@@ -65,6 +78,8 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # slack for comparisons that are exact in real arithmetic (self-bound fixed points)
 _REACH_RTOL = 1e-12
+# levels of midpoints the cost-bounded bisection prices per cost_grid call
+_COST_BISECT_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,8 @@ class SearchConfig:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError("rel_tol must be finite")
         lo, hi = self.n_bounds
         if not (0 < lo < hi):
             raise ValueError("n_bounds must satisfy 0 < lo < hi")
@@ -148,15 +165,40 @@ def _loss_on_slice(n_dense: float, budget: float, experts: float, params, arch) 
     return _loss(n_dense, d, experts, params)
 
 
-def _bisect(lower, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] down to width tol; ``lower(mid)`` true puts the root above mid."""
+def _bisect(lower, lo: float, hi: float, tol: float, depth: int = 1) -> tuple[float, float]:
+    """Halve [lo, hi] down to width tol; a true answer at mid puts the root above it.
+
+    ``lower(points)`` answers for a list of points at once, each answer a
+    bool or an exception to raise should the walk reach that point. Each
+    call asks for the next ``depth`` levels of midpoints, level by level,
+    left to right, and the walk then takes the same steps as one point at
+    a time would; depth 1 asks for one point per call.
+    """
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lower(mid):
-            lo = mid
-        else:
-            hi = mid
+        level, points = [(lo, hi)], []
+        for _ in range(depth):
+            mids = [0.5 * (a + b) for a, b in level]
+            points += mids
+            level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
+        answers = lower(points)
+        k = 0
+        for _ in range(depth):
+            if not hi - lo > tol:
+                break
+            if isinstance(answers[k], Exception):
+                raise answers[k]
+            if answers[k]:
+                lo, k = points[k], 2 * k + 2
+            else:
+                hi, k = points[k], 2 * k + 1
     return lo, hi
+
+
+def _check_budget(budget_flops: float) -> None:
+    if not budget_flops > 0:
+        raise ValueError("budget_flops must be positive")
+    if not math.isfinite(budget_flops):
+        raise ValueError("budget_flops must be finite")
 
 
 def moe_loss_optimal(
@@ -172,8 +214,7 @@ def moe_loss_optimal(
     minimizer pinned to an n_bounds endpoint raises SearchBoundsError since
     the true optimum then lies outside the window.
     """
-    if not budget_flops > 0:
-        raise ValueError("budget_flops must be positive")
+    _check_budget(budget_flops)
     _experts(experts)
     lo = math.log(search.n_bounds[0])
     hi = math.log(search.n_bounds[1])
@@ -296,7 +337,9 @@ def min_cost_for_bounded_loss(
     def above_target(x: float) -> bool:
         return _loss_on_slice(math.exp(x), budget_flops, experts_prime, params, arch) > target
 
-    _, hi = _bisect(above_target, math.log(n_lo), math.log(n_best), search.rel_tol)
+    _, hi = _bisect(
+        lambda xs: [above_target(x) for x in xs], math.log(n_lo), math.log(n_best), search.rel_tol
+    )
     # hi side satisfies loss <= target; keep the bound met
     return _result_at(
         math.exp(hi), budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
@@ -339,39 +382,47 @@ def min_loss_for_bounded_cost(
     n_best, _, _ = moe_loss_optimal(budget_flops, experts_prime, params, arch, search)
     limit = bound * (1.0 + _REACH_RTOL)
 
-    def feasible(n: float) -> bool:
-        try:
-            choice = min_cost_over_gpus(n, experts_prime, hw, geom, profile, arch)
-        except NoFeasibleGpuError:
-            return False
-        return choice.cost_per_token <= limit
-
     n_lo = search.n_bounds[0]
-    try:
-        cheapest = min_cost_over_gpus(n_lo, experts_prime, hw, geom, profile, arch).cost_per_token
-        reachable = cheapest <= limit
-    except NoFeasibleGpuError:
-        cheapest, reachable = math.inf, False
-    if not reachable:
+    at_lo, at_best = _cheapest_choices([n_lo, n_best], experts_prime, hw, geom, profile, arch)
+    if not _within(at_lo, limit):
+        cheapest = at_lo.cost_per_token if isinstance(at_lo, GpuCostChoice) else math.inf
         raise CostBoundUnreachableError(bound=bound, cheapest=cheapest)
-    if feasible(n_best):
+    if _within(at_best, limit):
         return _result_at(
             n_best, budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
         )
+
+    def choices(xs) -> list:
+        return _cheapest_choices([math.exp(x) for x in xs], experts_prime, hw, geom, profile, arch)
+
     # coarse scan isolates the last feasible size before the transition
     log_lo, log_hi = math.log(n_lo), math.log(n_best)
     scan = [log_lo + (log_hi - log_lo) * i / 63 for i in range(64)]
     lo, hi = log_lo, log_hi
-    for x in scan[1:]:
-        if feasible(math.exp(x)):
+    for x, choice in zip(scan[1:], choices(scan[1:])):
+        if _within(choice, limit):
             lo = x
         else:
             hi = x
             break
-    lo, _ = _bisect(lambda x: feasible(math.exp(x)), lo, hi, search.rel_tol)
+    lo, _ = _bisect(
+        lambda xs: [c if isinstance(c, ValueError) else _within(c, limit) for c in choices(xs)],
+        lo,
+        hi,
+        search.rel_tol,
+        _COST_BISECT_DEPTH,
+    )
     return _result_at(
         math.exp(lo), budget_flops, experts_prime, params, arch, hw, geom, profile, n_best
     )
+
+
+def _within(choice, limit: float) -> bool:
+    """Whether a ``_cheapest_choices`` entry serves at a cost within limit;
+    an entry that is a ValueError is raised."""
+    if isinstance(choice, ValueError):
+        raise choice
+    return isinstance(choice, GpuCostChoice) and choice.cost_per_token <= limit
 
 
 def frontier_sweep(
@@ -414,19 +465,41 @@ def frontier_sweep(
             "note": "",
         } | values
 
-    def emit(budget, experts, kind, n, n_ref):
-        d = _tokens_for(n, budget, experts, arch)
-        loss, flops = predict_loss(n, d, experts, params), training_flops(n, d, experts, arch)
-        row = sweep_row(budget, experts, kind, n_dense=n, d_tokens=d, predicted_loss=loss,
-                        training_flops=flops, overtrain_ratio=n / n_ref)
+    def emit(budget, experts, sizes, n_ref) -> list[dict]:
+        """The rows of one (budget, experts) block, priced in one pass."""
+        tokens = [_tokens_for(size, budget, experts, arch) for size in sizes]
+        n, d = np.array(sizes), np.array(tokens)
         try:
-            choice = min_cost_over_gpus(n, experts, hw, geom, profile, arch)
-        except NoFeasibleGpuError as exc:
-            row["note"] = str(exc)
-            return row
-        row.update(cost_per_token=choice.cost_per_token, best_gpus=choice.gpus, feasible=True)
-        return row
+            loss = predict_loss(n, d, experts, params)
+            flops = training_flops(n, d, experts, arch)
+            choices = _cheapest_choices(n, experts, hw, geom, profile, arch)
+            for choice in choices:
+                if isinstance(choice, ValueError):
+                    raise choice
+        except ValueError:
+            # the error of the first row that fails when priced one at a time
+            for size, row_d in zip(sizes, tokens):
+                predict_loss(size, row_d, experts, params)
+                training_flops(size, row_d, experts, arch)
+                cost_table(size, experts, hw, geom, profile, arch)
+            raise
+        rows = []
+        cells = zip(sizes, tokens, loss.tolist(), flops.tolist(), choices)
+        for i, (size, row_d, row_loss, row_flops, choice) in enumerate(cells):
+            row = sweep_row(budget, experts, "optimal" if i == 0 else "curve", n_dense=size, d_tokens=row_d,
+                            predicted_loss=row_loss, training_flops=row_flops, overtrain_ratio=size / n_ref)
+            if isinstance(choice, GpuCostChoice):
+                row.update(cost_per_token=choice.cost_per_token, best_gpus=choice.gpus, feasible=True)
+            else:
+                row["note"] = str(choice)
+            rows.append(row)
+        return rows
 
+    budgets, expert_candidates = list(budgets), list(expert_candidates)
+    for budget in budgets:
+        for experts in expert_candidates:
+            _check_budget(budget)
+            _experts(experts)
     rows = []
     for budget in budgets:
         for experts in expert_candidates:
@@ -435,13 +508,13 @@ def frontier_sweep(
             except SearchBoundsError as exc:
                 rows.append(sweep_row(budget, experts, "optimal", note=str(exc)))
                 continue
-            rows.append(emit(budget, experts, "optimal", n_opt, n_opt))
             span_lo, span_hi = curve_span
             log_lo = math.log(span_lo * n_opt)
             log_hi = math.log(span_hi * n_opt)
-            for i in range(curve_points):
-                x = log_lo + (log_hi - log_lo) * i / (curve_points - 1)
-                rows.append(emit(budget, experts, "curve", math.exp(x), n_opt))
+            curve = [
+                math.exp(log_lo + (log_hi - log_lo) * i / (curve_points - 1)) for i in range(curve_points)
+            ]
+            rows += emit(budget, experts, [n_opt, *curve], n_opt)
     return rows
 
 
@@ -474,6 +547,9 @@ def flops_ratio_to_match(
     if excess(hi_budget) > 0:
         raise SearchBoundsError("upper", hi_budget)
     lo, hi = _bisect(
-        lambda x: excess(math.exp(x)) > 0, math.log(lo_budget), math.log(hi_budget), search.rel_tol
+        lambda xs: [excess(math.exp(x)) > 0 for x in xs],
+        math.log(lo_budget),
+        math.log(hi_budget),
+        search.rel_tol,
     )
     return math.exp(0.5 * (lo + hi)) / budget_base

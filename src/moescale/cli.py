@@ -54,10 +54,10 @@ from .inference import (
     GeometryFit,
     HardwareConfig,
     LatencyProfile,
-    _cheapest,
     cost_table,
     fit_geometry,
     max_batch_size,
+    min_cost_over_gpus,
     throughput,
 )
 from .laws import (
@@ -364,7 +364,8 @@ def cmd_cost(args) -> int:
     arch = _arch_config(args)
     table = cost_table(args.n, args.e, hw, geom, profile, arch)
     rows = [{"kind": "gpu", **row} for row in table]
-    rows.append({"kind": "min", **_cheapest(table, args.n, args.e, hw, arch)})
+    cheapest = min_cost_over_gpus(args.n, args.e, hw, geom, profile, arch)
+    rows.append({"kind": "min", **table[cheapest.gpus - 1]})
     _emit(_table_text(rows, args.format), args.output)
     return 0
 

@@ -17,6 +17,22 @@ weight leaves [0, 1] and the surface extends linearly; they are flagged.
 KV-cache geometry uses the dense-equivalent model size (experts do not
 change hidden size or depth), while weight memory uses the expanded
 parameter count.
+
+One array kernel, :func:`cost_grid`, runs the whole chain for a vector of
+sizes at every GPU count 1..max_gpus and returns ``(sizes, gpus)`` arrays of
+batch, throughput, cost, extrapolation flag and a status code per cell
+(servable, weights do not fit, no profile slice, zero throughput,
+nonpositive latency). It never raises for a serving condition; the scalar
+API (``cost_table``, ``min_cost_over_gpus``, ``throughput``,
+``cost_per_token``) reads one row or cell of it and raises from the status.
+Its lookup runs on tensors the profile builds on the first cost query for
+a set of GPU counts and keeps (the profile is immutable): each stage's
+slices stacked row by row, grid points padded with +inf to a common
+length, so the cell index ``clip(count(grid <= x) - 1, 0, n - 2)`` is
+``bisect_right``'s, and the four corner terms are summed from 0.0 in the
+scalar lookup's order. Results match the scalar chain bit for bit. The KV
+term keeps Python's ``**`` per size, because ``np.power`` differs from it
+in the last ulp on some sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +59,12 @@ __all__ = [
     "LatencySample",
     "LatencyProfile",
     "GpuCostChoice",
+    "CostGrid",
+    "SERVABLE",
+    "NO_MEMORY",
+    "NO_SLICE",
+    "ZERO_THROUGHPUT",
+    "NONPOSITIVE_LATENCY",
     "fit_geometry",
     "kv_cache_bytes_per_token",
     "max_batch_size",
@@ -51,9 +73,17 @@ __all__ = [
     "cost_per_token",
     "min_cost_over_gpus",
     "cost_table",
+    "cost_grid",
 ]
 
 PROFILE_STAGES = ("prompt", "decode")
+
+# Status of one (size, GPU count) cell of a cost grid.
+SERVABLE, NO_MEMORY, NO_SLICE, ZERO_THROUGHPUT, NONPOSITIVE_LATENCY = range(5)
+_NOTES = {NO_SLICE: "no profile slice at this gpu count", ZERO_THROUGHPUT: "zero throughput"}
+_NONPOSITIVE_LATENCY = (
+    "interpolated iteration latency is nonpositive; profile does not extend to this query"
+)
 
 
 @dataclass(frozen=True)
@@ -195,7 +225,9 @@ class LatencyProfile:
     Samples must form a complete rectangular (batch x model_bytes) grid for
     every (stage, gpus) slice present, with at least two distinct batch
     sizes and two distinct model sizes per slice. Lookups are pure and
-    thread-safe.
+    thread-safe. The first cost query for a set of GPU counts also builds
+    padded array copies of those slices (see :func:`cost_grid`) and keeps
+    them; two threads racing to build the same copy store equal arrays.
 
     A lookup finds the cell ``i = clip(bisect_right(grid, x) - 1, 0, n - 2)``
     on each axis, takes the weight ``y = (x - grid[i]) / (grid[i+1] - grid[i])``
@@ -232,6 +264,7 @@ class LatencyProfile:
                 raise ValueError(f"slice {key} is not a complete rectangular grid")
             values = [[float(cell[(b, m)]) for m in models] for b in batches]
             self._grids[key] = (batches, models, values)
+        self._tensors: dict[tuple, _ProfileTensor] = {}
 
     @property
     def samples(self) -> tuple[LatencySample, ...]:
@@ -275,6 +308,55 @@ class LatencyProfile:
             or model_bytes > models[-1]
         )
         return float(value), extrapolated
+
+    def _lookup(self, gpus: tuple, model_bytes, prompt_batch, decode_batch):
+        """:meth:`interpolate` of both stages for sizes (rows) x GPU counts
+        (columns), unchecked.
+
+        ``model_bytes`` has one entry per size and each batch array one per
+        cell. Returns each stage's latencies and out-of-hull flags, and
+        whether both slices exist at each GPU count; where one is missing
+        the cells hold meaningless numbers.
+        """
+        t = self._tensor(gpus)
+        i, y0, out_b = _cells(t.batches, np.concatenate([prompt_batch, decode_batch], axis=1))
+        j, y1, out_m = _cells(t.models, model_bytes[:, None])
+        km = t.values.shape[2]
+        corner = (t.first_value + i * km) + j
+        v = t.values.ravel()
+        value = (
+            0.0
+            + v[corner] * (1 - y0) * (1 - y1)
+            + v[corner + 1] * (1 - y0) * y1
+            + v[corner + km] * y0 * (1 - y1)
+            + v[corner + km + 1] * y0 * y1
+        )
+        outside = out_b | out_m
+        g = len(gpus)
+        return value[:, :g], outside[:, :g], value[:, g:], outside[:, g:], t.present
+
+    def _tensor(self, gpus: tuple) -> "_ProfileTensor":
+        """The prompt then the decode slice at each GPU count in ``gpus``, as
+        padded arrays; built on the first cost query that asks for them and
+        kept."""
+        tensor = self._tensors.get(gpus)
+        if tensor is None:
+            keys = [(stage, g) for stage in PROFILE_STAGES for g in gpus]
+            grids = [self._grids.get(key, _NO_SLICE_GRID) for key in keys]
+            kb = max(len(b) for b, _, _ in grids)
+            km = max(len(m) for _, m, _ in grids)
+            values = np.zeros((len(grids), kb, km))
+            for r, (b, m, v) in enumerate(grids):
+                values[r, : len(b), : len(m)] = v
+            has = np.array([key in self._grids for key in keys]).reshape(2, len(gpus))
+            tensor = self._tensors[gpus] = _ProfileTensor(
+                batches=_PaddedGrid.of([b for b, _, _ in grids]),
+                models=_PaddedGrid.of([m for _, m, _ in grids]),
+                values=values,
+                first_value=np.arange(len(grids)) * kb * km,
+                present=has[0] & has[1],
+            )
+        return tensor
 
     @classmethod
     def from_json(cls, text: str) -> "LatencyProfile":
@@ -329,6 +411,49 @@ def _cell(grid: list[float], x: float) -> tuple[int, float]:
     return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
+class _PaddedGrid(NamedTuple):
+    """One axis of several slices: a row of ascending points per slice,
+    padded with +inf to a common length, with what a lookup needs of it."""
+
+    points: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    last_cell: np.ndarray
+
+    @classmethod
+    def of(cls, axes: list[list[float]]) -> "_PaddedGrid":
+        points = np.full((len(axes), max(len(a) for a in axes)), np.inf)
+        for r, a in enumerate(axes):
+            points[r, : len(a)] = a
+        n = np.array([len(a) for a in axes])
+        return cls(points, np.arange(len(axes)), points[:, 0], points[np.arange(len(axes)), n - 1], n - 2)
+
+
+class _ProfileTensor(NamedTuple):
+    """Both stages' slices at a tuple of GPU counts, prompt rows first."""
+
+    batches: _PaddedGrid
+    models: _PaddedGrid
+    values: np.ndarray
+    first_value: np.ndarray
+    present: np.ndarray
+
+
+# Stands in for a missing slice so every row of a tensor indexes safely.
+_NO_SLICE_GRID = ([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
+
+
+def _cells(grid: _PaddedGrid, x: np.ndarray):
+    """:func:`_cell` and the hull test for every cell, one grid row per
+    column of ``x``. Counting the points ``<= x`` is ``bisect_right``,
+    since the +inf padding never counts."""
+    i = np.minimum(np.maximum((grid.points <= x[..., None]).sum(axis=-1) - 1, 0), grid.last_cell)
+    lo = grid.points[grid.rows, i]
+    outside = (x < grid.first) | (x > grid.last)
+    return i, (x - lo) / (grid.points[grid.rows, i + 1] - lo), outside
+
+
 def max_batch_size(
     n_total: float,
     n_dense: float,
@@ -362,10 +487,14 @@ def max_batch_size(
     weight_bytes = n_total * hw.dtype_bytes
     headroom = gpus * hw.gpu_mem_bytes - weight_bytes
     if headroom <= 0:
-        min_gpus = int(math.floor(weight_bytes / hw.gpu_mem_bytes)) + 1
-        raise InsufficientMemoryError(required_bytes=weight_bytes, min_gpus=min_gpus)
+        raise InsufficientMemoryError(required_bytes=weight_bytes, min_gpus=_min_gpus(weight_bytes, hw))
     tokens_per_request = 2.0 * hw.prompt_len + hw.output_len
     return headroom / (tokens_per_request * kv_cache_bytes_per_token(n_dense, geom, hw))
+
+
+def _min_gpus(weight_bytes: float, hw: HardwareConfig) -> int:
+    """Smallest GPU count whose memory exceeds the weights."""
+    return int(math.floor(weight_bytes / hw.gpu_mem_bytes)) + 1
 
 
 def throughput_for_batch(
@@ -385,22 +514,17 @@ def throughput_for_batch(
 
     A batch of zero serves nothing and returns 0.
     """
-    return _throughput_and_flag(batch, model_bytes, gpus, hw, profile)[0]
-
-
-def _throughput_and_flag(batch, model_bytes, gpus, hw, profile) -> tuple[float, bool]:
-    """:func:`throughput_for_batch` plus whether either stage lookup left the profiled hull."""
     if batch <= 0:
-        return 0.0, False
-    lat_prompt, extrap_prompt = profile.interpolate("prompt", model_bytes, gpus, batch / hw.output_len)
-    lat_decode, extrap_decode = profile.interpolate("decode", model_bytes, gpus, batch)
-    total = lat_prompt + lat_decode
-    if total <= 0:
-        raise ValueError(
-            "interpolated iteration latency is nonpositive; "
-            "profile does not extend to this query"
-        )
-    return batch / total, extrap_prompt or extrap_decode
+        return 0.0
+    if not batch > 0:
+        raise ValueError("batch must be positive")
+    if not model_bytes > 0:
+        raise ValueError("model_bytes must be positive")
+    rate, _, status = _serve(
+        np.array([[batch]], dtype=float), np.array([model_bytes], dtype=float), [gpus], hw, profile
+    )
+    _raise_for_status(status[0, 0], gpus, profile)
+    return float(rate[0, 0])
 
 
 def throughput(
@@ -413,9 +537,7 @@ def throughput(
     arch: ArchitectureConvention = ArchitectureConvention(),
 ) -> float:
     """Tokens/second for a model served on ``gpus`` GPUs at max batch size."""
-    n_total = total_params(n_dense, experts, arch)
-    batch = max_batch_size(n_total, n_dense, gpus, hw, geom)
-    return throughput_for_batch(batch, n_total * hw.dtype_bytes, gpus, hw, profile)
+    return float(_served_cell(n_dense, experts, gpus, hw, geom, profile, arch).throughput[0, 0])
 
 
 def cost_per_token(
@@ -428,10 +550,29 @@ def cost_per_token(
     arch: ArchitectureConvention = ArchitectureConvention(),
 ) -> float:
     """Serving cost per generated token: gpus * price / throughput."""
-    rate = throughput(n_dense, experts, gpus, hw, geom, profile, arch)
-    if rate <= 0:
+    grid = _served_cell(n_dense, experts, gpus, hw, geom, profile, arch)
+    if grid.status[0, 0] == ZERO_THROUGHPUT:
         raise UnservableError(f"zero throughput at gpus={gpus}")
-    return gpus * hw.cost_per_gpu_second / rate
+    return float(grid.cost_per_token[0, 0])
+
+
+def _served_cell(n_dense, experts, gpus, hw, geom, profile, arch) -> "CostGrid":
+    """The one-cell grid of a model on ``gpus`` GPUs; raises where the cell
+    cannot be priced (zero throughput is left to the caller)."""
+    grid = cost_grid([n_dense], experts, hw, geom, profile, arch, gpus=[gpus])
+    if grid.status[0, 0] == NO_MEMORY:
+        weight_bytes = float(grid.weight_bytes[0])
+        raise InsufficientMemoryError(required_bytes=weight_bytes, min_gpus=_min_gpus(weight_bytes, hw))
+    _raise_for_status(grid.status[0, 0], gpus, profile)
+    return grid
+
+
+def _raise_for_status(status, gpus, profile) -> None:
+    if status == NO_SLICE:
+        g = int(gpus)
+        raise MissingProfileSliceError("decode" if profile.has_slice("prompt", g) else "prompt", g)
+    if status == NONPOSITIVE_LATENCY:
+        raise ValueError(_NONPOSITIVE_LATENCY)
 
 
 @dataclass(frozen=True)
@@ -445,38 +586,81 @@ class GpuCostChoice:
     extrapolated: bool
 
 
-def _row_for_gpus(n_dense, n_total, g, hw, geom, profile):
-    model_bytes = n_total * hw.dtype_bytes
-    row = {
-        "gpus": g,
-        "feasible": False,
-        "batch": math.nan,
-        "throughput": math.nan,
-        "cost_per_token": math.nan,
-        "extrapolated": False,
-        "note": "",
-    }
-    try:
-        batch = max_batch_size(n_total, n_dense, g, hw, geom)
-    except InsufficientMemoryError as exc:
-        row["note"] = f"weights do not fit; needs >= {exc.min_gpus} gpus"
-        return row
-    try:
-        rate, extrap = _throughput_and_flag(batch, model_bytes, g, hw, profile)
-    except MissingProfileSliceError:
-        row["note"] = "no profile slice at this gpu count"
-        return row
-    if rate <= 0:
-        row["note"] = "zero throughput"
-        return row
-    row.update(
-        feasible=True,
-        batch=batch,
-        throughput=rate,
-        cost_per_token=g * hw.cost_per_gpu_second / rate,
-        extrapolated=extrap,
-    )
-    return row
+class CostGrid(NamedTuple):
+    """Serving numbers of each size (rows) at each GPU count (columns).
+
+    ``status`` says which numbers of a cell hold: ``batch`` unless the
+    weights do not fit (NO_MEMORY); ``throughput`` and ``extrapolated`` for
+    SERVABLE and ZERO_THROUGHPUT cells; ``cost_per_token`` for SERVABLE ones.
+    """
+
+    gpus: tuple
+    weight_bytes: np.ndarray
+    batch: np.ndarray
+    throughput: np.ndarray
+    cost_per_token: np.ndarray
+    extrapolated: np.ndarray
+    status: np.ndarray
+
+
+def cost_grid(
+    n_dense,
+    experts: float,
+    hw: HardwareConfig,
+    geom: GeometryFit,
+    profile: LatencyProfile,
+    arch: ArchitectureConvention = ArchitectureConvention(),
+    gpus: Sequence[int] | None = None,
+) -> CostGrid:
+    """Price every size at every GPU count in one pass.
+
+    The array form of max_batch_size -> throughput_for_batch -> cost per
+    token, equal to it bit for bit. It does not raise for a serving
+    condition: each cell's status reports it, checked in the scalar chain's
+    order (weights do not fit, zero batch, missing slice, nonpositive
+    latency, zero throughput).
+
+    Args:
+        n_dense: dense-equivalent sizes, one row each.
+        experts: expert count shared by every size.
+        gpus: GPU counts to price, one column each (default 1..max_gpus).
+
+    Raises:
+        ValueError: a size or the expert count fails ``total_params``'
+            checks, or a GPU count is below 1.
+    """
+    sizes = np.atleast_1d(np.asarray(n_dense, dtype=float))
+    n_total = total_params(sizes, experts, arch)
+    counts = tuple(range(1, hw.max_gpus + 1)) if gpus is None else tuple(gpus)
+    if min(counts) < 1:
+        raise ValueError("gpus must be >= 1")
+    # Python's ** per size: np.power differs from it in the last ulp on some sizes
+    kv = np.array([kv_cache_bytes_per_token(n, geom, hw) for n in sizes.tolist()])
+    g = np.array(counts, dtype=float)
+    weight_bytes = n_total * hw.dtype_bytes
+    with np.errstate(all="ignore"):
+        headroom = g * hw.gpu_mem_bytes - weight_bytes[:, None]
+        batch = headroom / ((2.0 * hw.prompt_len + hw.output_len) * kv)[:, None]
+        rate, extrapolated, status = _serve(batch, weight_bytes, counts, hw, profile)
+        cost = g * hw.cost_per_gpu_second / rate
+    status[headroom <= 0] = NO_MEMORY
+    return CostGrid(counts, weight_bytes, batch, rate, cost, extrapolated, status)
+
+
+def _serve(batch, model_bytes, gpus, hw, profile):
+    """Throughput, extrapolation flag and status of every cell at its batch."""
+    with np.errstate(all="ignore"):
+        lat_prompt, out_prompt, lat_decode, out_decode, present = profile._lookup(
+            tuple(int(g) for g in gpus), model_bytes, batch / hw.output_len, batch
+        )
+        total = lat_prompt + lat_decode
+        rate = np.where(batch > 0, batch / total, 0.0)
+    status = np.full(batch.shape, SERVABLE, dtype=np.int8)
+    status[rate <= 0] = ZERO_THROUGHPUT
+    status[total <= 0] = NONPOSITIVE_LATENCY
+    status[:, ~present] = NO_SLICE
+    status[batch <= 0] = ZERO_THROUGHPUT
+    return rate, out_prompt | out_decode, status
 
 
 def cost_table(
@@ -488,8 +672,30 @@ def cost_table(
     arch: ArchitectureConvention = ArchitectureConvention(),
 ) -> list[dict]:
     """Per-GPU-count serving table for one model (1..max_gpus, all rows kept)."""
-    n_total = total_params(n_dense, experts, arch)
-    return [_row_for_gpus(n_dense, n_total, g, hw, geom, profile) for g in range(1, hw.max_gpus + 1)]
+    grid = cost_grid([n_dense], experts, hw, geom, profile, arch)
+    if (grid.status == NONPOSITIVE_LATENCY).any():
+        raise ValueError(_NONPOSITIVE_LATENCY)
+    rows = []
+    cells = zip(grid.gpus, grid.status[0].tolist(), grid.batch[0].tolist(), grid.throughput[0].tolist(),
+                grid.cost_per_token[0].tolist(), grid.extrapolated[0].tolist())
+    for g, status, batch, rate, cost, extrapolated in cells:
+        row = {
+            "gpus": g,
+            "feasible": False,
+            "batch": math.nan,
+            "throughput": math.nan,
+            "cost_per_token": math.nan,
+            "extrapolated": False,
+            "note": _NOTES.get(status, ""),
+        }
+        if status == SERVABLE:
+            row.update(
+                feasible=True, batch=batch, throughput=rate, cost_per_token=cost, extrapolated=extrapolated
+            )
+        elif status == NO_MEMORY:
+            row["note"] = f"weights do not fit; needs >= {_min_gpus(float(grid.weight_bytes[0]), hw)} gpus"
+        rows.append(row)
+    return rows
 
 
 def min_cost_over_gpus(
@@ -508,21 +714,38 @@ def min_cost_over_gpus(
     Raises:
         NoFeasibleGpuError: every count in range is infeasible.
     """
-    row = _cheapest(cost_table(n_dense, experts, hw, geom, profile, arch), n_dense, experts, hw, arch)
-    return GpuCostChoice(**{f.name: row[f.name] for f in fields(GpuCostChoice)})
+    (choice,) = _cheapest_choices([n_dense], experts, hw, geom, profile, arch)
+    if isinstance(choice, Exception):
+        raise choice
+    return choice
 
 
-def _cheapest(rows, n_dense, experts, hw, arch) -> dict:
-    """Cheapest feasible row of a :func:`cost_table`; ties go to fewer GPUs."""
-    best = None
-    for row in rows:
-        if not row["feasible"]:
-            continue
-        if best is None or row["cost_per_token"] < best["cost_per_token"]:
-            best = row
-    if best is None:
-        n_total = total_params(n_dense, experts, arch)
-        raise NoFeasibleGpuError(
-            required_bytes=n_total * hw.dtype_bytes, max_gpus=hw.max_gpus
-        )
-    return best
+def _cheapest_choices(n_dense, experts, hw, geom, profile, arch) -> list:
+    """:func:`min_cost_over_gpus` for every size, with the error it would
+    raise for a size returned in that size's place."""
+    grid = cost_grid(n_dense, experts, hw, geom, profile, arch)
+    servable = grid.status == SERVABLE
+    cost = np.where(servable, grid.cost_per_token, np.inf)
+    best = cost.argmin(axis=1)
+    sizes = np.arange(len(best))
+    # a servable count priced at inf still beats every unservable one
+    best = np.where(servable[sizes, best], best, servable.argmax(axis=1))
+    cells = zip(
+        (grid.status == NONPOSITIVE_LATENCY).any(axis=1).tolist(),
+        servable[sizes, best].tolist(),
+        grid.weight_bytes.tolist(),
+        best.tolist(),
+        grid.cost_per_token[sizes, best].tolist(),
+        grid.throughput[sizes, best].tolist(),
+        grid.batch[sizes, best].tolist(),
+        grid.extrapolated[sizes, best].tolist(),
+    )
+    choices = []
+    for faulty, ok, weight_bytes, k, cost, rate, batch, extrapolated in cells:
+        if faulty:
+            choices.append(ValueError(_NONPOSITIVE_LATENCY))
+        elif not ok:
+            choices.append(NoFeasibleGpuError(required_bytes=weight_bytes, max_gpus=hw.max_gpus))
+        else:
+            choices.append(GpuCostChoice(grid.gpus[k], cost, rate, batch, extrapolated))
+    return choices

@@ -6,15 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moescale import (
     CostBoundUnreachableError,
     DenseLawParams,
+    LatencyProfile,
+    LatencySample,
     NonMonotoneBranchError,
     QualityBoundUnreachableError,
     ScalingLawParams,
     SearchBoundsError,
     SearchConfig,
+    cost_table,
     dense_optimal,
     flops_ratio_to_match,
     frontier_sweep,
@@ -25,7 +30,7 @@ from moescale import (
     predict_loss,
     training_flops,
 )
-from moescale.allocation import _check_decreasing_branch
+from moescale.allocation import _bisect, _check_decreasing_branch
 from moescale.synth import dense_optimal_numeric, grid_argmin_loss
 
 BUDGET = 1.0e20
@@ -341,6 +346,28 @@ class TestFrontierSweep:
         assert not rows[0]["feasible"]
         assert math.isnan(rows[0]["n_dense"])
 
+    def test_nonpositive_latency_raises_as_row_by_row_pricing_does(self, truth, arch, hw, geom):
+        """A measured-style profile, steep at small batch, extrapolates to a
+        nonpositive latency for the larger models: the sweep raises the error
+        of the first row that fails when priced alone."""
+        samples = []
+        for stage, base in (("prompt", (0.001, 0.05, 0.4)), ("decode", (0.0008, 0.02, 0.15))):
+            for g in range(1, 9):
+                for b, lat in zip((64.0, 512.0, 4096.0), base):
+                    for m in (1.0e8, 1.0e9, 1.0e10, 1.0e11):
+                        lat_mg = lat * (0.5 + 0.5 * m / 1.0e9) ** 0.5 / g**0.9
+                        samples.append(LatencySample(stage, m, g, b, lat_mg))
+        profile = LatencyProfile(samples)
+        n_opt, _, _ = moe_loss_optimal(BUDGET, 4.0, truth, arch)
+        log_lo, log_hi = math.log(0.05 * n_opt), math.log(1.5 * n_opt)
+        sizes = [n_opt] + [math.exp(log_lo + (log_hi - log_lo) * i / 63) for i in range(64)]
+        with pytest.raises(ValueError) as row_by_row:
+            for n in sizes:
+                cost_table(n, 4.0, hw, geom, profile, arch)
+        with pytest.raises(ValueError) as swept:
+            frontier_sweep([BUDGET], [4.0], truth, arch, hw, geom, profile)
+        assert str(swept.value) == str(row_by_row.value)
+
 
 class TestFlopsRatio:
     def test_same_experts_is_unity(self, truth, arch):
@@ -404,7 +431,11 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "budget,experts,message",
         [(BUDGET, e, m) for e, m in BAD_EXPERTS]
-        + [(0.0, 8.0, "budget_flops must be positive"), (math.nan, 8.0, "budget_flops must be positive")],
+        + [
+            (0.0, 8.0, "budget_flops must be positive"),
+            (math.nan, 8.0, "budget_flops must be positive"),
+            (math.inf, 8.0, "budget_flops must be finite"),
+        ],
     )
     def test_bad_input_raises_before_any_search(
         self, entry, budget, experts, message, truth, arch, hw, geom, profile, monkeypatch
@@ -441,6 +472,41 @@ class TestInputBoundary:
             SearchConfig(n_bounds=bounds)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "rel_tol,message",
+        [
+            (math.inf, "rel_tol must be finite"),
+            (math.nan, "rel_tol must be positive"),
+            (0.0, "rel_tol must be positive"),
+        ],
+    )
+    def test_search_config_rejects_a_bad_tolerance(self, rel_tol, message):
+        with pytest.raises(ValueError) as exc:
+            SearchConfig(rel_tol=rel_tol)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "budgets,candidates,message",
+        [
+            ([BUDGET], [4.0, 0.5], "expert count must be >= 1"),
+            ([BUDGET, math.inf], [4.0], "budget_flops must be finite"),
+            ([BUDGET, 0.0], [4.0, math.nan], "E must be finite"),
+            ([0.0, BUDGET], [4.0, math.nan], "budget_flops must be positive"),
+        ],
+    )
+    def test_sweep_checks_every_pair_before_its_loop(
+        self, budgets, candidates, message, truth, arch, hw, geom, profile, monkeypatch
+    ):
+        import moescale.allocation as alloc
+
+        def searched(*args):
+            raise AssertionError("the sweep priced a pair before checking them all")
+
+        monkeypatch.setattr(alloc, "_loss", searched)
+        with pytest.raises(ValueError) as exc:
+            frontier_sweep(budgets, candidates, truth, arch, hw, geom, profile)
+        assert str(exc.value) == message
+
     def test_overflowing_tokens_still_raise(self, truth, arch, hw, geom, profile):
         """A tiny lower bound leaves no parameters to spend the budget on."""
         search = SearchConfig(n_bounds=(1.0e-300, 1.0e13))
@@ -460,3 +526,67 @@ class TestInputBoundary:
         calls.clear()
         min_cost_for_bounded_loss(BUDGET, 4.0, 16.0, truth, arch, hw, geom, profile)
         assert len(calls) == 3
+
+
+def one_point_at_a_time(lower, lo, hi, tol):
+    """The plain bisection loop: one predicate call per midpoint."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lower(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestBatchedBisect:
+    """Asking for several levels of midpoints per call walks the same path."""
+
+    brackets = st.tuples(
+        st.floats(-50.0, 50.0), st.floats(1e-6, 100.0), st.floats(0.0, 1.0), st.floats(1e-9, 1.0)
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(brackets, st.integers(1, 8))
+    def test_same_bracket_bit_for_bit(self, bracket, depth):
+        lo, width, where, tol = bracket
+        root = lo + where * width
+        want = one_point_at_a_time(lambda x: x < root, lo, lo + width, tol)
+        got = _bisect(lambda xs: [x < root for x in xs], lo, lo + width, tol, depth)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(brackets, st.integers(2, 8), st.data())
+    def test_only_errors_on_the_path_raise(self, bracket, depth, data):
+        lo, width, where, tol = bracket
+        root = lo + where * width
+        path = []
+
+        def traced(x):
+            path.append(x)
+            return x < root
+
+        want = one_point_at_a_time(traced, lo, lo + width, tol)
+        on_path = set(path)
+
+        def off_path_fails(xs):
+            return [x < root if x in on_path else ValueError(f"off the path at {x!r}") for x in xs]
+
+        assert _bisect(off_path_fails, lo, lo + width, tol, depth) == want
+        if not path:
+            return
+        bad = data.draw(st.sampled_from(path))
+
+        def fails_at(x):
+            if x == bad:
+                raise ValueError(f"fails at {x!r}")
+            return x < root
+
+        with pytest.raises(ValueError) as scalar:
+            one_point_at_a_time(fails_at, lo, lo + width, tol)
+        with pytest.raises(ValueError) as batched:
+            _bisect(
+                lambda xs: [ValueError(f"fails at {x!r}") if x == bad else x < root for x in xs],
+                lo, lo + width, tol, depth,
+            )
+        assert str(batched.value) == str(scalar.value)

@@ -265,6 +265,22 @@ class TestAllocate:
         assert proc.returncode == 1
         assert proc.stderr == "error: n_bounds must be finite\n"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--budget", "inf"), "budget_flops must be finite"),
+            (("--budget", "1e20", "--rel-tol", "inf"), "rel_tol must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["optimal", "bound-loss", "bound-cost"])
+    def test_nonfinite_input_exits_one(self, files, mode, flags, message):
+        proc = run_cli(
+            "allocate", "--params", str(files / "truth.json"), "--mode", mode,
+            "--e-base", "4", "--e-prime", "16", *flags, *serving_flags(files),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+
     def test_overflowing_tokens_exit_one(self, files):
         proc = run_cli(
             "allocate", "--params", str(files / "truth.json"),

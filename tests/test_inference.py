@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moescale import (
     GeometryFit,
@@ -25,6 +27,15 @@ from moescale import (
     throughput,
     throughput_for_batch,
     total_params,
+)
+
+from moescale.inference import (
+    NO_MEMORY,
+    NO_SLICE,
+    NONPOSITIVE_LATENCY,
+    SERVABLE,
+    ZERO_THROUGHPUT,
+    cost_grid,
 )
 
 from conftest import GEOMETRY_ROWS
@@ -439,3 +450,180 @@ class TestUnservable:
         assert cost > 1.0e6
         with pytest.raises((UnservableError, InsufficientMemoryError)):
             cost_per_token(1.0e9, 1.0, 1, hw, geom, profile)
+
+
+def reference_cell(n_dense, experts, g, hw, geom, profile):
+    """One (size, GPU count) cell priced by the scalar chain: the public
+    batch sizing and profile lookup, one stage and one check at a time."""
+    n_total = total_params(n_dense, experts)
+    try:
+        batch = max_batch_size(n_total, n_dense, g, hw, geom)
+    except InsufficientMemoryError as exc:
+        return {"status": NO_MEMORY, "note": f"weights do not fit; needs >= {exc.min_gpus} gpus"}
+    if batch <= 0:
+        return {"status": ZERO_THROUGHPUT, "batch": batch, "note": "zero throughput"}
+    model_bytes = n_total * hw.dtype_bytes
+    try:
+        lat_prompt, out_prompt = profile.interpolate("prompt", model_bytes, g, batch / hw.output_len)
+        lat_decode, out_decode = profile.interpolate("decode", model_bytes, g, batch)
+    except MissingProfileSliceError:
+        return {"status": NO_SLICE, "batch": batch, "note": "no profile slice at this gpu count"}
+    total = lat_prompt + lat_decode
+    if total <= 0:
+        return {"status": NONPOSITIVE_LATENCY, "batch": batch}
+    rate = batch / total
+    cell = {"batch": batch, "throughput": rate, "extrapolated": out_prompt or out_decode}
+    if rate <= 0:
+        return cell | {"status": ZERO_THROUGHPUT, "note": "zero throughput"}
+    return cell | {"status": SERVABLE, "cost_per_token": g * hw.cost_per_gpu_second / rate, "note": ""}
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+@st.composite
+def serving_setups(draw):
+    """A random profile (some slices missing, each slice on its own grid),
+    hardware, sizes and an expert count. Latency is affine, concave, or
+    steeper than linear in batch; a steep one extrapolates below its
+    smallest batch to a nonpositive latency, as measured profiles can."""
+    max_gpus = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["affine", "concave", "steep"]))
+    c = draw(st.tuples(*[st.floats(0.1, 10.0)] * 3))
+    power = draw(st.floats(0.3, 0.9)) if shape == "concave" else draw(st.floats(1.1, 2.0))
+    batch_points = st.lists(st.sampled_from([1.0, 8.0, 64.0, 200.0, 512.0, 1500.0, 4096.0]),
+                            min_size=2, max_size=4, unique=True)
+    model_points = st.lists(st.sampled_from([1e8, 5e8, 2e9, 1e10, 4e10, 1e11, 1e12]),
+                            min_size=2, max_size=4, unique=True)
+    samples = []
+    for stage, scale in (("prompt", 1.0), ("decode", 0.3)):
+        for g in range(1, max_gpus + 2):
+            if not draw(st.booleans()) and draw(st.booleans()):
+                continue  # about a quarter of the slices are missing
+            slice_models = draw(model_points)
+            for b in draw(batch_points):
+                for m in slice_models:
+                    if shape == "concave":
+                        lat = scale * c[0] * 1e-4 * b**power * (m / 1e9) ** 0.3 / g
+                    elif shape == "steep":
+                        lat = scale * (1e-5 + c[1] * 1e-4 * (b / 64.0) ** power) * (m / 1e9) ** 0.3 / g
+                    else:
+                        lat = scale * (c[0] * 1e-3 + c[1] * 1e-6 * b + c[2] * 1e-13 * m) / g
+                    samples.append(LatencySample(stage, m, g, b, lat))
+    if not samples:
+        samples = [LatencySample("decode", m, 1, b, 0.01) for b in (1.0, 2.0) for m in (1e8, 1e9)]
+    hw = HardwareConfig(
+        gpu_mem_bytes=draw(st.sampled_from([4.0 * 2**30, 16.0 * 2**30, 40.0 * 2**30])),
+        max_gpus=max_gpus,
+        cost_per_gpu_second=draw(st.floats(0.1, 10.0)),
+        output_len=draw(st.sampled_from([1, 64, 256, 1024])),
+    )
+    n_dense = draw(st.lists(st.floats(1e6, 3e10), min_size=1, max_size=6))
+    n_dense += draw(st.lists(st.sampled_from(POWER_DIFFERS or [1e9]), max_size=3))
+    experts = draw(st.sampled_from([1.0, 2.5, 8.0, 32.0]))
+    return LatencyProfile(samples), hw, n_dense, experts
+
+
+# Sizes where numpy's array power and Python's ** disagree in the last ulp;
+# a kernel that took np.power for the KV term would misprice them.
+_CANDIDATES = np.geomspace(1e6, 3e11, 4001)
+_PYTHON_POWER = np.array([n ** (2.0 / 3.0) for n in _CANDIDATES.tolist()])
+POWER_DIFFERS = _CANDIDATES[np.power(_CANDIDATES, 2.0 / 3.0) != _PYTHON_POWER]
+POWER_DIFFERS = POWER_DIFFERS[:: max(1, len(POWER_DIFFERS) // 16)].tolist()
+
+
+class TestCostGrid:
+    """The array kernel is the scalar chain, cell for cell and bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(serving_setups())
+    def test_cells_equal_the_scalar_chain(self, setup):
+        profile, hw, n_dense, experts = setup
+        geom = fit_geometry(GEOMETRY_ROWS)
+        grid = cost_grid(n_dense, experts, hw, geom, profile)
+        assert grid.gpus == tuple(range(1, hw.max_gpus + 1))
+        for s, n in enumerate(n_dense):
+            for k, g in enumerate(grid.gpus):
+                want = reference_cell(n, experts, g, hw, geom, profile)
+                assert grid.status[s, k] == want["status"]
+                if "batch" in want:
+                    assert _bits(grid.batch[s, k]) == _bits(want["batch"])
+                if "throughput" in want:
+                    assert _bits(grid.throughput[s, k]) == _bits(want["throughput"])
+                    assert bool(grid.extrapolated[s, k]) == want["extrapolated"]
+                if "cost_per_token" in want:
+                    assert _bits(grid.cost_per_token[s, k]) == _bits(want["cost_per_token"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(serving_setups())
+    def test_table_and_cheapest_equal_the_scalar_chain(self, setup):
+        profile, hw, n_dense, experts = setup
+        geom = fit_geometry(GEOMETRY_ROWS)
+        for n in n_dense:
+            cells = [reference_cell(n, experts, g, hw, geom, profile) for g in range(1, hw.max_gpus + 1)]
+            if any(c["status"] == NONPOSITIVE_LATENCY for c in cells):
+                with pytest.raises(ValueError, match="latency is nonpositive"):
+                    cost_table(n, experts, hw, geom, profile)
+                with pytest.raises(ValueError, match="latency is nonpositive"):
+                    min_cost_over_gpus(n, experts, hw, geom, profile)
+                continue
+            rows = cost_table(n, experts, hw, geom, profile)
+            for g, (row, cell) in enumerate(zip(rows, cells), start=1):
+                servable = cell["status"] == SERVABLE
+                assert row["gpus"] == g
+                assert row["feasible"] == servable
+                assert row["note"] == cell["note"]
+                assert row["extrapolated"] == (servable and cell["extrapolated"])
+                for key in ("batch", "throughput", "cost_per_token"):
+                    assert _bits(row[key]) == _bits(cell[key] if servable else math.nan)
+            servable = [
+                (c["cost_per_token"], g) for g, c in enumerate(cells, start=1) if c["status"] == SERVABLE
+            ]
+            if not servable:
+                with pytest.raises(NoFeasibleGpuError):
+                    min_cost_over_gpus(n, experts, hw, geom, profile)
+                continue
+            choice = min_cost_over_gpus(n, experts, hw, geom, profile)
+            assert (choice.cost_per_token, choice.gpus) == min(servable)
+
+    def test_one_cell_views_raise_from_the_status(self, hw, geom):
+        """throughput/cost_per_token read one cell and raise what the chain raised."""
+        profile = constant_profile({1: 1.0, 3: 1.0})
+        grid = cost_grid([1.0e9], 1.0, hw, geom, profile)
+        assert throughput(1.0e9, 1.0, 3, hw, geom, profile) == grid.throughput[0, 2]
+        with pytest.raises(MissingProfileSliceError) as exc:
+            throughput(1.0e9, 1.0, 2, hw, geom, profile)
+        assert (exc.value.stage, exc.value.gpus) == ("prompt", 2)
+        with pytest.raises(InsufficientMemoryError) as exc:
+            cost_per_token(1.0e11, 1.0, 1, hw, geom, profile)
+        assert exc.value.min_gpus == 5
+        with pytest.raises(ValueError, match="gpus must be >= 1"):
+            throughput(1.0e9, 1.0, 0, hw, geom, profile)
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_queries_on_the_hull_edge_are_inside(self, edge, geom):
+        """Both stages queried exactly on a grid's edge node: priced, not flagged."""
+        hw = HardwareConfig(max_gpus=1, output_len=16)
+        n = 1.0e9
+        batch = max_batch_size(n, n, 1, hw, geom)
+        m = n * hw.dtype_bytes
+        samples = []
+        for stage, b in (("prompt", batch / hw.output_len), ("decode", batch)):
+            for bb in ((b, 2.0 * b) if edge == "lower" else (b / 2.0, b)):
+                for mm in ((m, 2.0 * m) if edge == "lower" else (m / 2.0, m)):
+                    samples.append(LatencySample(stage, mm, 1, bb, 0.01 + 1.0e-5 * bb))
+        grid = cost_grid([n], 1.0, hw, geom, LatencyProfile(samples))
+        assert grid.status[0, 0] == SERVABLE
+        assert not grid.extrapolated[0, 0]
+        assert grid.throughput[0, 0] == throughput_for_batch(batch, m, 1, hw, LatencyProfile(samples))
+
+    def test_profile_tensor_is_built_once(self, hw, geom, profile):
+        fresh = LatencyProfile(profile.samples)
+        assert not fresh._tensors
+        cost_table(1.0e9, 8.0, hw, geom, fresh)
+        built = dict(fresh._tensors)
+        assert len(built) == 1
+        cost_grid([1.0e9, 2.0e9], 8.0, hw, geom, fresh)
+        assert fresh._tensors == built
+        assert all(fresh._tensors[key] is tensor for key, tensor in built.items())
