@@ -20,7 +20,10 @@ envelope with upward jumps where the minimum feasible GPU count steps up,
 so the cost-bounded search brackets the feasible/infeasible transition with
 a coarse scan before bisecting the predicate. Both price many sizes per
 call of ``inference.cost_grid``: the scan in one call, the bisection the
-next few levels of midpoints at a time.
+next few levels of midpoints at a time. A size no GPU count can serve is
+over every cost bound: a sweep flags its row with the unservable cells'
+notes, and an answer there raises ``NoFeasibleGpuError`` (the one-cell
+views of ``inference`` raise ``UnservableError``).
 
 Inputs are checked once, before any search: ``SearchConfig`` checks its
 bounds and tolerance, and ``moe_loss_optimal``, which every entry calls
@@ -49,7 +52,6 @@ from .inference import (
     HardwareConfig,
     LatencyProfile,
     _cheapest_choices,
-    cost_table,
     min_cost_over_gpus,
 )
 from .laws import (
@@ -98,6 +100,9 @@ class SearchConfig:
             raise ValueError("rel_tol must be positive")
         if not math.isfinite(self.rel_tol):
             raise ValueError("rel_tol must be finite")
+        # finer than a few ulps of a log size the searches never stop
+        if self.rel_tol < 1e-12:
+            raise ValueError("rel_tol must be at least 1e-12")
         lo, hi = self.n_bounds
         if not (0 < lo < hi):
             raise ValueError("n_bounds must satisfy 0 < lo < hi")
@@ -168,11 +173,10 @@ def _loss_on_slice(n_dense: float, budget: float, experts: float, params, arch) 
 def _bisect(lower, lo: float, hi: float, tol: float, depth: int = 1) -> tuple[float, float]:
     """Halve [lo, hi] down to width tol; a true answer at mid puts the root above it.
 
-    ``lower(points)`` answers for a list of points at once, each answer a
-    bool or an exception to raise should the walk reach that point. Each
-    call asks for the next ``depth`` levels of midpoints, level by level,
-    left to right, and the walk then takes the same steps as one point at
-    a time would; depth 1 asks for one point per call.
+    ``lower(points)`` answers for a list of points at once, one bool each.
+    Each call asks for the next ``depth`` levels of midpoints, level by
+    level, left to right, and the walk then takes the same steps as one
+    point at a time would; depth 1 asks for one point per call.
     """
     while hi - lo > tol:
         level, points = [(lo, hi)], []
@@ -185,8 +189,6 @@ def _bisect(lower, lo: float, hi: float, tol: float, depth: int = 1) -> tuple[fl
         for _ in range(depth):
             if not hi - lo > tol:
                 break
-            if isinstance(answers[k], Exception):
-                raise answers[k]
             if answers[k]:
                 lo, k = points[k], 2 * k + 2
             else:
@@ -406,7 +408,7 @@ def min_loss_for_bounded_cost(
             hi = x
             break
     lo, _ = _bisect(
-        lambda xs: [c if isinstance(c, ValueError) else _within(c, limit) for c in choices(xs)],
+        lambda xs: [_within(c, limit) for c in choices(xs)],
         lo,
         hi,
         search.rel_tol,
@@ -418,10 +420,7 @@ def min_loss_for_bounded_cost(
 
 
 def _within(choice, limit: float) -> bool:
-    """Whether a ``_cheapest_choices`` entry serves at a cost within limit;
-    an entry that is a ValueError is raised."""
-    if isinstance(choice, ValueError):
-        raise choice
+    """Whether a ``_cheapest_choices`` entry serves at a cost within limit."""
     return isinstance(choice, GpuCostChoice) and choice.cost_per_token <= limit
 
 
@@ -469,20 +468,9 @@ def frontier_sweep(
         """The rows of one (budget, experts) block, priced in one pass."""
         tokens = [_tokens_for(size, budget, experts, arch) for size in sizes]
         n, d = np.array(sizes), np.array(tokens)
-        try:
-            loss = predict_loss(n, d, experts, params)
-            flops = training_flops(n, d, experts, arch)
-            choices = _cheapest_choices(n, experts, hw, geom, profile, arch)
-            for choice in choices:
-                if isinstance(choice, ValueError):
-                    raise choice
-        except ValueError:
-            # the error of the first row that fails when priced one at a time
-            for size, row_d in zip(sizes, tokens):
-                predict_loss(size, row_d, experts, params)
-                training_flops(size, row_d, experts, arch)
-                cost_table(size, experts, hw, geom, profile, arch)
-            raise
+        loss = predict_loss(n, d, experts, params)
+        flops = training_flops(n, d, experts, arch)
+        choices = _cheapest_choices(n, experts, hw, geom, profile, arch)
         rows = []
         cells = zip(sizes, tokens, loss.tolist(), flops.tolist(), choices)
         for i, (size, row_d, row_loss, row_flops, choice) in enumerate(cells):

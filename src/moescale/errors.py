@@ -31,13 +31,18 @@ class InsufficientMemoryError(MoescaleError):
 
 
 class NoFeasibleGpuError(MoescaleError):
-    """No GPU count up to the hardware limit can serve the model."""
+    """No GPU count up to the hardware limit can serve the model. ``notes``
+    says why the counts that fit the weights cannot; it is empty when none do."""
 
-    def __init__(self, required_bytes: float, max_gpus: int):
+    def __init__(self, required_bytes: float, max_gpus: int, notes=()):
         self.required_bytes = required_bytes
         self.max_gpus = max_gpus
+        self.notes = tuple(notes)
         super().__init__(
-            f"model too large for hardware: needs {required_bytes:.3e} bytes "
+            f"no servable GPU count up to {max_gpus}: every count that fits the {required_bytes:.3e} "
+            f"bytes of weights is unservable ({'; '.join(self.notes)})"
+            if self.notes
+            else f"model too large for hardware: needs {required_bytes:.3e} bytes "
             f"of weight memory, no feasible GPU count up to {max_gpus}"
         )
 
@@ -52,7 +57,8 @@ class MissingProfileSliceError(MoescaleError):
 
 
 class UnservableError(MoescaleError):
-    """Throughput is zero at this GPU count, so cost per token is undefined."""
+    """This GPU count cannot serve the model: its throughput is zero or its
+    interpolated latency is nonpositive, so cost per token is undefined."""
 
 
 class QualityBoundUnreachableError(MoescaleError):

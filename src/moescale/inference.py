@@ -22,9 +22,11 @@ One array kernel, :func:`cost_grid`, runs the whole chain for a vector of
 sizes at every GPU count 1..max_gpus and returns ``(sizes, gpus)`` arrays of
 batch, throughput, cost, extrapolation flag and a status code per cell
 (servable, weights do not fit, no profile slice, zero throughput,
-nonpositive latency). It never raises for a serving condition; the scalar
-API (``cost_table``, ``min_cost_over_gpus``, ``throughput``,
-``cost_per_token``) reads one row or cell of it and raises from the status.
+nonpositive latency); a batch below one request serves nothing, as in
+``serve_simulate``. It never raises for a serving condition: ``cost_table``
+notes why each unservable GPU count is infeasible, ``min_cost_over_gpus``
+skips it, and the one-cell views (``throughput``, ``cost_per_token``) raise
+a typed error, ``UnservableError`` naming the GPU count where no cost holds.
 Its lookup runs on tensors the profile builds on the first cost query for
 a set of GPU counts and keeps (the profile is immutable): each stage's
 slices stacked row by row, grid points padded with +inf to a common
@@ -80,10 +82,9 @@ PROFILE_STAGES = ("prompt", "decode")
 
 # Status of one (size, GPU count) cell of a cost grid.
 SERVABLE, NO_MEMORY, NO_SLICE, ZERO_THROUGHPUT, NONPOSITIVE_LATENCY = range(5)
-_NOTES = {NO_SLICE: "no profile slice at this gpu count", ZERO_THROUGHPUT: "zero throughput"}
-_NONPOSITIVE_LATENCY = (
-    "interpolated iteration latency is nonpositive; profile does not extend to this query"
-)
+_NOTES = {NO_SLICE: "no profile slice at this gpu count", ZERO_THROUGHPUT: "zero throughput",
+          NONPOSITIVE_LATENCY: "interpolated latency is nonpositive"}
+_OVERFLOW = "model weight bytes must be finite"
 
 
 @dataclass(frozen=True)
@@ -479,12 +480,15 @@ def max_batch_size(
 
     Raises:
         InsufficientMemoryError: weights leave zero or negative headroom.
+        ValueError: the weight bytes overflow.
     """
     if gpus < 1:
         raise ValueError("gpus must be >= 1")
     if not n_total > 0 or not n_dense > 0:
         raise ValueError("parameter counts must be positive")
     weight_bytes = n_total * hw.dtype_bytes
+    if not math.isfinite(weight_bytes):
+        raise ValueError(_OVERFLOW)
     headroom = gpus * hw.gpu_mem_bytes - weight_bytes
     if headroom <= 0:
         raise InsufficientMemoryError(required_bytes=weight_bytes, min_gpus=_min_gpus(weight_bytes, hw))
@@ -512,9 +516,9 @@ def throughput_for_batch(
 
         T = batch / (L_prompt(batch / output_len) + L_decode(batch))
 
-    A batch of zero serves nothing and returns 0.
+    A batch below one request serves nothing and returns 0.
     """
-    if batch <= 0:
+    if batch < 1:
         return 0.0
     if not batch > 0:
         raise ValueError("batch must be positive")
@@ -552,7 +556,7 @@ def cost_per_token(
     """Serving cost per generated token: gpus * price / throughput."""
     grid = _served_cell(n_dense, experts, gpus, hw, geom, profile, arch)
     if grid.status[0, 0] == ZERO_THROUGHPUT:
-        raise UnservableError(f"zero throughput at gpus={gpus}")
+        raise UnservableError(f"{_NOTES[ZERO_THROUGHPUT]} at gpus={gpus}")
     return float(grid.cost_per_token[0, 0])
 
 
@@ -572,7 +576,7 @@ def _raise_for_status(status, gpus, profile) -> None:
         g = int(gpus)
         raise MissingProfileSliceError("decode" if profile.has_slice("prompt", g) else "prompt", g)
     if status == NONPOSITIVE_LATENCY:
-        raise ValueError(_NONPOSITIVE_LATENCY)
+        raise UnservableError(f"{_NOTES[status]} at gpus={gpus}")
 
 
 @dataclass(frozen=True)
@@ -617,8 +621,8 @@ def cost_grid(
     The array form of max_batch_size -> throughput_for_batch -> cost per
     token, equal to it bit for bit. It does not raise for a serving
     condition: each cell's status reports it, checked in the scalar chain's
-    order (weights do not fit, zero batch, missing slice, nonpositive
-    latency, zero throughput).
+    order (weights do not fit, batch below one request, missing slice,
+    nonpositive latency, zero throughput).
 
     Args:
         n_dense: dense-equivalent sizes, one row each.
@@ -627,17 +631,19 @@ def cost_grid(
 
     Raises:
         ValueError: a size or the expert count fails ``total_params``'
-            checks, or a GPU count is below 1.
+            checks, a size's weight bytes overflow, or a GPU count is below 1.
     """
     sizes = np.atleast_1d(np.asarray(n_dense, dtype=float))
-    n_total = total_params(sizes, experts, arch)
+    with np.errstate(over="ignore"):
+        weight_bytes = total_params(sizes, experts, arch) * hw.dtype_bytes
+    if not np.isfinite(weight_bytes).all():
+        raise ValueError(_OVERFLOW)
     counts = tuple(range(1, hw.max_gpus + 1)) if gpus is None else tuple(gpus)
     if min(counts) < 1:
         raise ValueError("gpus must be >= 1")
     # Python's ** per size: np.power differs from it in the last ulp on some sizes
     kv = np.array([kv_cache_bytes_per_token(n, geom, hw) for n in sizes.tolist()])
     g = np.array(counts, dtype=float)
-    weight_bytes = n_total * hw.dtype_bytes
     with np.errstate(all="ignore"):
         headroom = g * hw.gpu_mem_bytes - weight_bytes[:, None]
         batch = headroom / ((2.0 * hw.prompt_len + hw.output_len) * kv)[:, None]
@@ -654,12 +660,12 @@ def _serve(batch, model_bytes, gpus, hw, profile):
             tuple(int(g) for g in gpus), model_bytes, batch / hw.output_len, batch
         )
         total = lat_prompt + lat_decode
-        rate = np.where(batch > 0, batch / total, 0.0)
+        rate = np.where(batch >= 1, batch / total, 0.0)
     status = np.full(batch.shape, SERVABLE, dtype=np.int8)
     status[rate <= 0] = ZERO_THROUGHPUT
     status[total <= 0] = NONPOSITIVE_LATENCY
     status[:, ~present] = NO_SLICE
-    status[batch <= 0] = ZERO_THROUGHPUT
+    status[batch < 1] = ZERO_THROUGHPUT
     return rate, out_prompt | out_decode, status
 
 
@@ -671,10 +677,8 @@ def cost_table(
     profile: LatencyProfile,
     arch: ArchitectureConvention = ArchitectureConvention(),
 ) -> list[dict]:
-    """Per-GPU-count serving table for one model (1..max_gpus, all rows kept)."""
+    """Per-GPU-count serving table for one model (1..max_gpus, all rows kept, unservable ones noted)."""
     grid = cost_grid([n_dense], experts, hw, geom, profile, arch)
-    if (grid.status == NONPOSITIVE_LATENCY).any():
-        raise ValueError(_NONPOSITIVE_LATENCY)
     rows = []
     cells = zip(grid.gpus, grid.status[0].tolist(), grid.batch[0].tolist(), grid.throughput[0].tolist(),
                 grid.cost_per_token[0].tolist(), grid.extrapolated[0].tolist())
@@ -708,8 +712,8 @@ def min_cost_over_gpus(
 ) -> GpuCostChoice:
     """Cheapest feasible GPU count in 1..max_gpus.
 
-    Skips counts where the weights do not fit or the profile has no slice;
-    exact cost ties resolve to the smaller GPU count.
+    Skips counts that cannot serve the model (see :func:`cost_table`'s
+    notes); exact cost ties resolve to the smaller GPU count.
 
     Raises:
         NoFeasibleGpuError: every count in range is infeasible.
@@ -721,8 +725,8 @@ def min_cost_over_gpus(
 
 
 def _cheapest_choices(n_dense, experts, hw, geom, profile, arch) -> list:
-    """:func:`min_cost_over_gpus` for every size, with the error it would
-    raise for a size returned in that size's place."""
+    """:func:`min_cost_over_gpus` for every size, with the
+    ``NoFeasibleGpuError`` it would raise for a size in that size's place."""
     grid = cost_grid(n_dense, experts, hw, geom, profile, arch)
     servable = grid.status == SERVABLE
     cost = np.where(servable, grid.cost_per_token, np.inf)
@@ -731,7 +735,7 @@ def _cheapest_choices(n_dense, experts, hw, geom, profile, arch) -> list:
     # a servable count priced at inf still beats every unservable one
     best = np.where(servable[sizes, best], best, servable.argmax(axis=1))
     cells = zip(
-        (grid.status == NONPOSITIVE_LATENCY).any(axis=1).tolist(),
+        grid.status.tolist(),
         servable[sizes, best].tolist(),
         grid.weight_bytes.tolist(),
         best.tolist(),
@@ -741,11 +745,11 @@ def _cheapest_choices(n_dense, experts, hw, geom, profile, arch) -> list:
         grid.extrapolated[sizes, best].tolist(),
     )
     choices = []
-    for faulty, ok, weight_bytes, k, cost, rate, batch, extrapolated in cells:
-        if faulty:
-            choices.append(ValueError(_NONPOSITIVE_LATENCY))
-        elif not ok:
-            choices.append(NoFeasibleGpuError(required_bytes=weight_bytes, max_gpus=hw.max_gpus))
+    for status, ok, weight_bytes, k, cost, rate, batch, extrapolated in cells:
+        if not ok:
+            # why the counts with headroom fail, in GPU-count order; none when memory is the cause
+            notes = [_NOTES[s] for s in dict.fromkeys(status) if s in _NOTES]
+            choices.append(NoFeasibleGpuError(required_bytes=weight_bytes, max_gpus=hw.max_gpus, notes=notes))
         else:
             choices.append(GpuCostChoice(grid.gpus[k], cost, rate, batch, extrapolated))
     return choices

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moescale import (
+    ArchitectureConvention,
     CostBoundUnreachableError,
     DenseLawParams,
-    LatencyProfile,
-    LatencySample,
+    MoescaleError,
+    NoFeasibleGpuError,
     NonMonotoneBranchError,
     QualityBoundUnreachableError,
     ScalingLawParams,
@@ -21,10 +22,12 @@ from moescale import (
     SearchConfig,
     cost_table,
     dense_optimal,
+    fit_geometry,
     flops_ratio_to_match,
     frontier_sweep,
     loss_optimal_result,
     min_cost_for_bounded_loss,
+    min_cost_over_gpus,
     min_loss_for_bounded_cost,
     moe_loss_optimal,
     predict_loss,
@@ -32,6 +35,9 @@ from moescale import (
 )
 from moescale.allocation import _bisect, _check_decreasing_branch
 from moescale.synth import dense_optimal_numeric, grid_argmin_loss
+
+from conftest import GEOMETRY_ROWS
+from test_inference import measured_setups, measured_style_profile, serving_setups
 
 BUDGET = 1.0e20
 
@@ -346,27 +352,29 @@ class TestFrontierSweep:
         assert not rows[0]["feasible"]
         assert math.isnan(rows[0]["n_dense"])
 
-    def test_nonpositive_latency_raises_as_row_by_row_pricing_does(self, truth, arch, hw, geom):
-        """A measured-style profile, steep at small batch, extrapolates to a
-        nonpositive latency for the larger models: the sweep raises the error
-        of the first row that fails when priced alone."""
-        samples = []
-        for stage, base in (("prompt", (0.001, 0.05, 0.4)), ("decode", (0.0008, 0.02, 0.15))):
-            for g in range(1, 9):
-                for b, lat in zip((64.0, 512.0, 4096.0), base):
-                    for m in (1.0e8, 1.0e9, 1.0e10, 1.0e11):
-                        lat_mg = lat * (0.5 + 0.5 * m / 1.0e9) ** 0.5 / g**0.9
-                        samples.append(LatencySample(stage, m, g, b, lat_mg))
-        profile = LatencyProfile(samples)
-        n_opt, _, _ = moe_loss_optimal(BUDGET, 4.0, truth, arch)
-        log_lo, log_hi = math.log(0.05 * n_opt), math.log(1.5 * n_opt)
-        sizes = [n_opt] + [math.exp(log_lo + (log_hi - log_lo) * i / 63) for i in range(64)]
-        with pytest.raises(ValueError) as row_by_row:
-            for n in sizes:
-                cost_table(n, 4.0, hw, geom, profile, arch)
-        with pytest.raises(ValueError) as swept:
-            frontier_sweep([BUDGET], [4.0], truth, arch, hw, geom, profile)
-        assert str(swept.value) == str(row_by_row.value)
+    def test_nonpositive_latency_rows_match_row_by_row_pricing(self, truth, arch, hw, geom):
+        """A measured-style profile extrapolates to a nonpositive latency for
+        the larger models: the sweep flags those rows and prices the rest,
+        each row as cost_table and min_cost_over_gpus see its size alone."""
+        profile = measured_style_profile()
+        rows = frontier_sweep([1.0e22], [16.0], truth, arch, hw, geom, profile)
+        assert len(rows) == 65
+        notes = set()
+        for row in rows:
+            table = cost_table(row["n_dense"], 16.0, hw, geom, profile, arch)
+            notes.update(r["note"] for r in table)
+            assert row["feasible"] == any(r["feasible"] for r in table)
+            try:
+                choice = min_cost_over_gpus(row["n_dense"], 16.0, hw, geom, profile, arch)
+            except NoFeasibleGpuError as exc:
+                assert (row["feasible"], row["note"], row["best_gpus"]) == (False, str(exc), 0)
+                assert "interpolated latency is nonpositive" in exc.notes
+            else:
+                assert (row["feasible"], row["note"]) == (True, "")
+                assert (row["cost_per_token"], row["best_gpus"]) == (choice.cost_per_token, choice.gpus)
+        assert "interpolated latency is nonpositive" in notes
+        assert not all(row["feasible"] for row in rows)
+        assert any(row["feasible"] for row in rows)
 
 
 class TestFlopsRatio:
@@ -478,6 +486,8 @@ class TestInputBoundary:
             (math.inf, "rel_tol must be finite"),
             (math.nan, "rel_tol must be positive"),
             (0.0, "rel_tol must be positive"),
+            (1.0e-13, "rel_tol must be at least 1e-12"),
+            (5.0e-324, "rel_tol must be at least 1e-12"),
         ],
     )
     def test_search_config_rejects_a_bad_tolerance(self, rel_tol, message):
@@ -528,6 +538,41 @@ class TestInputBoundary:
         assert len(calls) == 3
 
 
+@st.composite
+def planning_setups(draw):
+    """A random or measured-style serving setup (the latter extrapolates to
+    nonpositive latencies), a random law, a budget and an expert pair."""
+    profile, hw, _, _ = draw(st.one_of(serving_setups(), measured_setups()))
+    law = random_law(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    budget = 10.0 ** draw(st.floats(18.0, 22.0))
+    e_base, e_prime = draw(st.tuples(*[st.sampled_from([1.0, 4.0, 8.0, 16.0, 32.0])] * 2))
+    return profile, hw, law, budget, e_base, e_prime
+
+
+class TestUnservableCells:
+    """A GPU count that cannot serve reaches an answer only as a typed error
+    or a flagged sweep row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(planning_setups())
+    def test_answers_raise_only_typed_errors(self, setup):
+        profile, hw, law, budget, e_base, e_prime = setup
+        arch = ArchitectureConvention()
+        serving = {"hw": hw, "geom": fit_geometry(GEOMETRY_ROWS), "profile": profile}
+        answers = (
+            lambda: loss_optimal_result(budget, e_prime, law, arch, **serving),
+            lambda: min_cost_for_bounded_loss(budget, e_base, e_prime, law, arch, **serving),
+            lambda: min_loss_for_bounded_cost(budget, e_base, e_prime, law, arch, **serving),
+        )
+        for answer in answers:
+            try:
+                answer()
+            except MoescaleError:
+                pass
+        rows = frontier_sweep([budget], [e_base, e_prime], law, arch, curve_points=16, **serving)
+        assert all(row["note"] for row in rows if not row["feasible"])
+
+
 def one_point_at_a_time(lower, lo, hi, tol):
     """The plain bisection loop: one predicate call per midpoint."""
     while hi - lo > tol:
@@ -554,39 +599,3 @@ class TestBatchedBisect:
         want = one_point_at_a_time(lambda x: x < root, lo, lo + width, tol)
         got = _bisect(lambda xs: [x < root for x in xs], lo, lo + width, tol, depth)
         assert [v.hex() for v in got] == [v.hex() for v in want]
-
-    @settings(max_examples=200, deadline=None)
-    @given(brackets, st.integers(2, 8), st.data())
-    def test_only_errors_on_the_path_raise(self, bracket, depth, data):
-        lo, width, where, tol = bracket
-        root = lo + where * width
-        path = []
-
-        def traced(x):
-            path.append(x)
-            return x < root
-
-        want = one_point_at_a_time(traced, lo, lo + width, tol)
-        on_path = set(path)
-
-        def off_path_fails(xs):
-            return [x < root if x in on_path else ValueError(f"off the path at {x!r}") for x in xs]
-
-        assert _bisect(off_path_fails, lo, lo + width, tol, depth) == want
-        if not path:
-            return
-        bad = data.draw(st.sampled_from(path))
-
-        def fails_at(x):
-            if x == bad:
-                raise ValueError(f"fails at {x!r}")
-            return x < root
-
-        with pytest.raises(ValueError) as scalar:
-            one_point_at_a_time(fails_at, lo, lo + width, tol)
-        with pytest.raises(ValueError) as batched:
-            _bisect(
-                lambda xs: [ValueError(f"fails at {x!r}") if x == bad else x < root for x in xs],
-                lo, lo + width, tol, depth,
-            )
-        assert str(batched.value) == str(scalar.value)

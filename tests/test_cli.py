@@ -1,6 +1,7 @@
 """End-to-end command-line checks through subprocess, including exit codes,
 output determinism, and the environment-variable config hook."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,14 +9,18 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moescale import (
     DenseLawParams,
     HardwareConfig,
     ScalingLawParams,
+    cli,
     loss_optimal_result,
     min_cost_for_bounded_loss,
     predict_loss,
@@ -23,6 +28,7 @@ from moescale import (
 )
 
 from conftest import DENSE_TRUTH, GEOMETRY_ROWS, TRUTH
+from test_inference import measured_style_profile
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -51,6 +57,7 @@ def files(tmp_path_factory, runs_clean, hw, profile):
     (d / "dense_truth.json").write_text(DENSE_TRUTH.to_json())
     (d / "hw.json").write_text(hw.to_json())
     (d / "profile.json").write_text(profile.to_json())
+    (d / "measured.json").write_text(measured_style_profile().to_json())
     runs_to_csv(runs_clean, d / "runs.csv")
     with open(d / "geometry.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -59,10 +66,10 @@ def files(tmp_path_factory, runs_clean, hw, profile):
     return d
 
 
-def serving_flags(files):
+def serving_flags(files, profile="profile.json"):
     return (
         "--hardware", str(files / "hw.json"),
-        "--profile", str(files / "profile.json"),
+        "--profile", str(files / profile),
         "--geometry", str(files / "geometry.csv"),
     )
 
@@ -371,6 +378,25 @@ class TestCost:
         )
         assert proc.returncode == 2
 
+    def test_overflowing_weights_exit_one(self, files):
+        """The expanded parameter count overflows: one error line, no
+        traceback and no numpy warning."""
+        proc = run_cli(
+            "cost", "--n", "1.7e308", "--e", "8", "--mu", "3.3", "--profile", str(files / "profile.json"),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: model weight bytes must be finite\n"
+
+    def test_nonpositive_latency_is_a_noted_row(self, files):
+        """A measured-style profile extrapolates to a nonpositive latency on
+        one GPU; that row is infeasible with a note and two GPUs serve."""
+        proc = run_cli("cost", "--n", "1e9", "--e", "32", *serving_flags(files, "measured.json"))
+        assert proc.returncode == 0, proc.stderr
+        rows = parse_csv(proc.stdout)
+        assert (rows[0]["feasible"], rows[0]["note"]) == ("False", "interpolated latency is nonpositive")
+        assert rows[-1]["kind"] == "min" and rows[-1]["gpus"] == "2"
+
 
 class TestSynthCommands:
     def test_runs_deterministic_and_noise_controlled(self, files, tmp_path):
@@ -469,3 +495,46 @@ class TestEnvConfig:
             "-o", str(tmp_path / "x.csv"), env={"MOESCALE_CONFIG": str(cfg)},
         )
         assert proc.returncode == 1
+
+
+# Edge numbers for the numeric flags, written as the flag's value so that
+# argparse never reads a negative one as an option.
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "5e-324", "-5e-324", "1.7e308", "-1.7e308", "inf", "-inf", "nan", "-1", "8", "1e20"]),
+    st.floats().map(repr),
+)
+COST_FLAGS = ("--e", "--mu", "--ffn-fraction", "--top-k")
+ALLOCATE_FLAGS = (
+    "--e-base", "--e-prime", "--target-loss", "--cost-bound", "--rel-tol", "--n-min", "--n-max",
+    "--mu", "--ffn-fraction", "--top-k",
+)
+
+
+class TestNumericFlags:
+    """Any number on cost's and allocate's numeric flags ends in an exit code
+    and at most one error line: no traceback and no warning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["cost", "allocate"]), data=st.data())
+    def test_main_returns_an_exit_code(self, files, command, data):
+        if command == "cost":
+            argv, optional = ["cost", f"--n={data.draw(NUMBERS)}"], COST_FLAGS
+        else:
+            mode = data.draw(st.sampled_from(["optimal", "bound-loss", "bound-cost"]))
+            argv = ["allocate", f"--budget={data.draw(NUMBERS)}", "--mode", mode]
+            argv += ["--params", str(files / "truth.json")]
+            optional = ALLOCATE_FLAGS
+        argv += [f"{flag}={data.draw(NUMBERS)}" for flag in optional if data.draw(st.booleans())]
+        argv += ["--hardware", str(files / "hw.json")]
+        argv += ["--profile", str(files / data.draw(st.sampled_from(["profile.json", "measured.json"])))]
+        if not any(arg.startswith("--mu=") for arg in argv):
+            argv += ["--geometry", str(files / "geometry.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

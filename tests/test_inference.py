@@ -291,8 +291,11 @@ class TestThroughput:
         np.testing.assert_allclose(rate, 250.0, rtol=1.0e-14)
 
     def test_zero_batch_is_zero_rate(self):
+        """Less than one whole request serves nothing, as in serve_simulate."""
         profile = constant_profile({1: 1.0})
         assert throughput_for_batch(0.0, 1.0e9, 1, HardwareConfig(), profile) == 0.0
+        assert throughput_for_batch(0.999, 1.0e9, 1, HardwareConfig(), profile) == 0.0
+        assert throughput_for_batch(1.0, 1.0e9, 1, HardwareConfig(), profile) == 0.5
 
     def test_more_gpus_strictly_faster(self, hw, geom, profile):
         rates = [throughput(1.0e9, 8.0, g, hw, geom, profile) for g in range(1, 9)]
@@ -396,6 +399,24 @@ class TestMinCostOverGpus:
         with pytest.raises(NoFeasibleGpuError) as exc:
             min_cost_over_gpus(1.0e11, 8.0, hw, geom, profile)
         assert exc.value.max_gpus == 2
+        assert exc.value.notes == ()
+        assert str(exc.value) == (
+            "model too large for hardware: needs 6.667e+11 bytes of weight memory, no feasible GPU count up to 2"
+        )
+
+    def test_unservable_counts_that_fit_are_named(self, geom):
+        """Weights fit on two GPUs with room for only a sliver of a request,
+        and three GPUs have no profile slice: the error says so instead of
+        blaming memory."""
+        hw = HardwareConfig(max_gpus=3)
+        n = (2.0 * hw.gpu_mem_bytes - 10.0) / hw.dtype_bytes
+        with pytest.raises(NoFeasibleGpuError) as exc:
+            min_cost_over_gpus(n, 1.0, hw, geom, constant_profile({1: 1.0, 2: 1.0}))
+        assert exc.value.notes == ("zero throughput", "no profile slice at this gpu count")
+        assert str(exc.value) == (
+            "no servable GPU count up to 3: every count that fits the 8.590e+10 bytes of weights "
+            "is unservable (zero throughput; no profile slice at this gpu count)"
+        )
 
     def test_cost_table_keeps_every_count(self, geom, profile, hw):
         rows = cost_table(1.0e9, 8.0, hw, geom, profile)
@@ -443,11 +464,12 @@ class TestUnservable:
         via memory so tight the batch rounds to a sliver."""
         hw = HardwareConfig(gpu_mem_bytes=1.0e9, max_gpus=1)
         profile = constant_profile({1: 1.0})
-        # weights fit with a few bytes to spare; batch ~ 1e-9 still serves
-        # (slowly), so this documents cost blowing up rather than raising.
+        # weights fit with a few bytes to spare; a batch of ~1e-9 requests
+        # serves nothing, as serve_simulate's zero slots do.
         n = (1.0e9 - 10.0) / 2.0
-        cost = cost_per_token(n, 1.0, 1, hw, geom, profile)
-        assert cost > 1.0e6
+        with pytest.raises(UnservableError, match="zero throughput at gpus=1"):
+            cost_per_token(n, 1.0, 1, hw, geom, profile)
+        assert throughput(n, 1.0, 1, hw, geom, profile) == 0.0
         with pytest.raises((UnservableError, InsufficientMemoryError)):
             cost_per_token(1.0e9, 1.0, 1, hw, geom, profile)
 
@@ -460,7 +482,7 @@ def reference_cell(n_dense, experts, g, hw, geom, profile):
         batch = max_batch_size(n_total, n_dense, g, hw, geom)
     except InsufficientMemoryError as exc:
         return {"status": NO_MEMORY, "note": f"weights do not fit; needs >= {exc.min_gpus} gpus"}
-    if batch <= 0:
+    if batch < 1:
         return {"status": ZERO_THROUGHPUT, "batch": batch, "note": "zero throughput"}
     model_bytes = n_total * hw.dtype_bytes
     try:
@@ -470,7 +492,7 @@ def reference_cell(n_dense, experts, g, hw, geom, profile):
         return {"status": NO_SLICE, "batch": batch, "note": "no profile slice at this gpu count"}
     total = lat_prompt + lat_decode
     if total <= 0:
-        return {"status": NONPOSITIVE_LATENCY, "batch": batch}
+        return {"status": NONPOSITIVE_LATENCY, "batch": batch, "note": "interpolated latency is nonpositive"}
     rate = batch / total
     cell = {"batch": batch, "throughput": rate, "extrapolated": out_prompt or out_decode}
     if rate <= 0:
@@ -525,6 +547,35 @@ def serving_setups(draw):
     return LatencyProfile(samples), hw, n_dense, experts
 
 
+def measured_style_profile(gpus=range(1, 9), jitter=(1.0,) * 6) -> LatencyProfile:
+    """Latency concave in batch on three batches from 64 up, rising with
+    model size, as measured profiles are. The prompt stage, queried at
+    batch / output_len, extrapolates below 64 to a nonpositive latency for
+    the larger models."""
+    samples = []
+    bases = (("prompt", (0.001, 0.05, 0.4)), ("decode", (0.0008, 0.02, 0.15)))
+    for s, (stage, base) in enumerate(bases):
+        for g in gpus:
+            for i, (b, lat) in enumerate(zip((64.0, 512.0, 4096.0), base)):
+                for m in (1.0e8, 1.0e9, 1.0e10, 1.0e11):
+                    lat_mg = lat * jitter[3 * s + i] * (0.5 + 0.5 * m / 1.0e9) ** 0.5 / g**0.9
+                    samples.append(LatencySample(stage, m, g, b, lat_mg))
+    return LatencyProfile(samples)
+
+
+@st.composite
+def measured_setups(draw):
+    """A jittered measured-style profile with some GPU counts missing,
+    hardware, sizes and an expert count, shaped like serving_setups."""
+    max_gpus = draw(st.integers(1, 8))
+    gpus = [1] + [g for g in range(2, max_gpus + 1) if draw(st.booleans())]
+    jitter = draw(st.tuples(*[st.floats(0.8, 1.2)] * 6))
+    hw = HardwareConfig(max_gpus=max_gpus, output_len=draw(st.sampled_from([64, 256, 1024])))
+    n_dense = draw(st.lists(st.floats(1e7, 1e11), min_size=1, max_size=6))
+    experts = draw(st.sampled_from([1.0, 4.0, 8.0, 32.0]))
+    return measured_style_profile(gpus, jitter), hw, n_dense, experts
+
+
 # Sizes where numpy's array power and Python's ** disagree in the last ulp;
 # a kernel that took np.power for the KV term would misprice them.
 _CANDIDATES = np.geomspace(1e6, 3e11, 4001)
@@ -562,12 +613,6 @@ class TestCostGrid:
         geom = fit_geometry(GEOMETRY_ROWS)
         for n in n_dense:
             cells = [reference_cell(n, experts, g, hw, geom, profile) for g in range(1, hw.max_gpus + 1)]
-            if any(c["status"] == NONPOSITIVE_LATENCY for c in cells):
-                with pytest.raises(ValueError, match="latency is nonpositive"):
-                    cost_table(n, experts, hw, geom, profile)
-                with pytest.raises(ValueError, match="latency is nonpositive"):
-                    min_cost_over_gpus(n, experts, hw, geom, profile)
-                continue
             rows = cost_table(n, experts, hw, geom, profile)
             for g, (row, cell) in enumerate(zip(rows, cells), start=1):
                 servable = cell["status"] == SERVABLE
@@ -581,8 +626,10 @@ class TestCostGrid:
                 (c["cost_per_token"], g) for g, c in enumerate(cells, start=1) if c["status"] == SERVABLE
             ]
             if not servable:
-                with pytest.raises(NoFeasibleGpuError):
+                with pytest.raises(NoFeasibleGpuError) as exc:
                     min_cost_over_gpus(n, experts, hw, geom, profile)
+                notes = dict.fromkeys(c["note"] for c in cells if c["status"] != NO_MEMORY)
+                assert exc.value.notes == tuple(notes)
                 continue
             choice = min_cost_over_gpus(n, experts, hw, geom, profile)
             assert (choice.cost_per_token, choice.gpus) == min(servable)
@@ -600,6 +647,26 @@ class TestCostGrid:
         assert exc.value.min_gpus == 5
         with pytest.raises(ValueError, match="gpus must be >= 1"):
             throughput(1.0e9, 1.0, 0, hw, geom, profile)
+
+    @settings(max_examples=40, deadline=None)
+    @given(measured_setups())
+    def test_nonpositive_latency_is_unservable(self, setup):
+        """A cell whose latency extrapolates to nonpositive is a noted,
+        infeasible row of the table, and the one-cell views raise a typed
+        error naming its GPU count."""
+        profile, hw, n_dense, experts = setup
+        geom = fit_geometry(GEOMETRY_ROWS)
+        grid = cost_grid(n_dense, experts, hw, geom, profile)
+        for s, k in zip(*np.nonzero(grid.status == NONPOSITIVE_LATENCY)):
+            g = grid.gpus[k]
+            row = cost_table(n_dense[s], experts, hw, geom, profile)[k]
+            assert (row["feasible"], row["note"]) == (False, "interpolated latency is nonpositive")
+            for view in (throughput, cost_per_token):
+                with pytest.raises(UnservableError) as exc:
+                    view(n_dense[s], experts, g, hw, geom, profile)
+                assert str(exc.value) == f"interpolated latency is nonpositive at gpus={g}"
+            with pytest.raises(UnservableError):
+                throughput_for_batch(grid.batch[s, k], grid.weight_bytes[s], g, hw, profile)
 
     @pytest.mark.parametrize("edge", ["lower", "upper"])
     def test_queries_on_the_hull_edge_are_inside(self, edge, geom):
