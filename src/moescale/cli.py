@@ -231,7 +231,6 @@ def cmd_fit(args) -> int:
         max_starts=args.max_starts,
         rng_seed=args.seed,
         holdout_fraction=args.holdout,
-        use_full_grid=args.full_grid,
     )
     if args.dense:
         dense_runs = [r for r in runs if r.experts == 1.0]
@@ -488,11 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", metavar="PATH", required=True, help="where to write fitted parameters (JSON)")
     p.add_argument("--report", metavar="PATH", default=None, help="also write the full fit report (JSON)")
     p.add_argument("--dense", action="store_true", help="fit the dense law on the experts=1 rows only")
-    p.add_argument("--max-starts", type=int, default=512, help="multi-start budget (default 512)")
-    p.add_argument("--seed", type=int, default=0, help="start sampling / holdout split seed (default 0)")
+    p.add_argument("--max-starts", type=int, default=512, help="most screened candidates polished (default 512)")
+    p.add_argument("--seed", type=int, default=0, help="holdout split seed (default 0)")
     p.add_argument("--holdout", type=float, default=0.2, help="held-out fraction for reporting (default 0.2)")
     p.add_argument("--delta", type=float, default=1e-3, help="robust-loss width in log space (default 1e-3)")
-    p.add_argument("--full-grid", action="store_true", help="run every grid start instead of sampling")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="evaluate a fitted law")

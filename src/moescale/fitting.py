@@ -1,13 +1,15 @@
 """Robust fitting of the loss laws to observed training runs.
 
-The objective is a Huber loss on log-space residuals, minimized by L-BFGS-B
-from a grid of initializations (sampled when the full grid is too large).
-Expert anchors are fitted through the smooth reparameterization
-``e_start = 1 + exp(u)``, ``e_max = e_start + exp(v)`` so their ordering
-constraints hold by construction. Each law has one kernel returning its
-log-space residuals and their Jacobian; the Huber gradient is
-``J^T clip(r, ±delta)`` from that kernel, and the trust-region polish calls
-the same kernel for its residuals and Jacobian.
+The objective is a Huber loss on log-space residuals (Hoffmann et al. 2022,
+Approach 3). Both laws are separable: with the nonlinear parameters fixed,
+the additive bracket is linear in its coefficients. A variable-projection
+screen (Golub & Pereyra 1973) solves for those coefficients over a grid of
+the nonlinear parameters and ranks the candidates by the objective; a
+trust-region (TRF) polish of every parameter then refines them in that
+order, and the first that evaluates cleanly on every run wins. Expert
+anchors are fitted as ``e_start = 1 + exp(u)``, ``e_max = e_start + exp(v)``
+so their ordering holds by construction. Each law has one kernel returning
+its log-space residuals and their Jacobian, which the polish consumes.
 
 Runs are canonically sorted before anything touches them, which makes the
 holdout split, the objective value, and the fitted parameters bitwise
@@ -20,9 +22,10 @@ commands that never fit do not pay for loading it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,14 +58,17 @@ __all__ = [
 RUNS_CSV_COLUMNS = ("n_dense", "d_tokens", "experts", "val_loss")
 
 # Objective value signalling a nonpositive loss bracket; large enough to lose
-# against any sane fit, finite so the line search can walk back out.
+# against any sane fit, finite so search code can keep moving.
 _PENALTY_BASE = 1.0e9
 _BRACKET_FLOOR = 1.0e-12
+# Candidates per batched screen solve; bounds the screen's memory.
+_SCREEN_CHUNK = 256
 
 
-# The optimizers stay module attributes, looked up at call time, so that a
-# caller can wrap or replace ``fitting.minimize``/``fitting.least_squares``
-# (benchmarks/tracer.py times them this way).
+# The optimizer stays a module attribute, looked up at call time, so that a
+# caller can wrap or replace ``fitting.least_squares`` (benchmarks/tracer.py
+# times it this way). No fit calls ``minimize`` any more; it stays because
+# benchmarks/tracer.py still looks it up by name.
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, importing scipy on first use."""
     from scipy.optimize import minimize as scipy_minimize
@@ -98,24 +104,15 @@ class TrainingRun:
 
 
 def default_grid_spec() -> dict[str, tuple[float, ...]]:
-    """Initialization grid for the multi-start search.
-
-    Exponents start on {0, .5, ..., 2}; coefficient axes are natural-log
-    initializations (the coefficient starts at exp(value)); the interaction
-    coefficient starts on the same coarse ladder as the log-coefficients and
-    the irreducible term on {-1, ..., 1}.
-    """
-    exponents = (0.0, 0.5, 1.0, 1.5, 2.0)
-    log_coefs = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+    """Nonlinear-parameter grid that :func:`fit_moe` screens: exponents on 8
+    points in [0.05, 1.2], the interaction on 17 in [-0.02, 0.02] (8704
+    candidates), anchors held at ``FitConfig.e_start_init``/``e_max_init``."""
+    exponents = tuple(np.linspace(0.05, 1.2, 8).tolist())
     return {
         "alpha": exponents,
         "beta": exponents,
         "gamma": exponents,
-        "log_coef_n": log_coefs,
-        "log_coef_e": log_coefs,
-        "log_coef_d": log_coefs,
-        "interaction": log_coefs,
-        "irreducible": (-1.0, -0.5, 0.0, 0.5, 1.0),
+        "interaction": tuple(np.linspace(-0.02, 0.02, 17).tolist()),
     }
 
 
@@ -126,31 +123,26 @@ class FitConfig:
     Attributes:
         huber_delta: residual scale where the loss switches from quadratic
             to linear.
-        grid_spec: per-parameter initialization values (see
-            :func:`default_grid_spec`).
-        max_starts: number of grid points sampled (without replacement) when
-            the full grid is larger; ``use_full_grid`` overrides.
-        rng_seed: seed driving the holdout split and the start sample.
-        convergence_tol: objective-change tolerance handed to the local
-            minimizer.
-        max_iterations: iteration cap per start.
+        grid_spec: values of the expert-aware law's nonlinear parameters
+            that the screen covers (see :func:`default_grid_spec`). The
+            dense law screens both exponents on a fixed 24-point grid.
+        max_starts: most screened candidates polished; the first that
+            evaluates cleanly on every run stops the search.
+        rng_seed: seed driving the holdout split.
         holdout_fraction: share of runs held out of the objective and scored
             separately; 0 disables the split.
-        e_start_init: initial one-expert anchor, > 1 (shared by all starts).
-        e_max_init: initial saturation anchor, > e_start_init.
-        use_full_grid: run every grid point instead of sampling.
+        e_start_init: one-expert anchor held during the screen, > 1.
+        e_max_init: saturation anchor held during the screen,
+            > e_start_init.
     """
 
     huber_delta: float = 1.0e-3
     grid_spec: dict[str, tuple[float, ...]] = field(default_factory=default_grid_spec)
     max_starts: int = 512
     rng_seed: int = 0
-    convergence_tol: float = 1.0e-9
-    max_iterations: int = 1000
     holdout_fraction: float = 0.2
     e_start_init: float = 1.5
     e_max_init: float = 64.0
-    use_full_grid: bool = False
 
     def __post_init__(self):
         if not self.huber_delta > 0:
@@ -159,17 +151,17 @@ class FitConfig:
             raise ValueError("max_starts must be >= 1")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must lie in [0, 1)")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if not self.e_start_init > 1.0:
             raise ValueError("e_start_init must exceed 1")
         if not self.e_max_init > self.e_start_init:
             raise ValueError("e_max_init must exceed e_start_init")
-        missing = set(default_grid_spec()) - set(self.grid_spec)
+        axes = set(default_grid_spec())
+        missing = axes - set(self.grid_spec)
         if missing:
             raise ValueError(f"grid_spec missing axes: {', '.join(sorted(missing))}")
+        unknown = set(self.grid_spec) - axes
+        if unknown:
+            raise ValueError(f"grid_spec has unknown axes: {', '.join(sorted(unknown))}")
         for name, values in self.grid_spec.items():
             if len(values) == 0:
                 raise ValueError(f"grid_spec axis {name!r} is empty")
@@ -177,7 +169,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class StartDiagnostic:
-    """Per-start record: where the search began and where it ended."""
+    """One polished candidate: its index in the screened grid, its screened
+    start and objective, the objective after the polish, and whether
+    ``least_squares`` succeeded."""
 
     index: int
     init: dict[str, float]
@@ -186,13 +180,7 @@ class StartDiagnostic:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "init": dict(self.init),
-            "initial_objective": self.initial_objective,
-            "final_objective": self.final_objective,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -256,14 +244,13 @@ class _LawEval(NamedTuple):
     """One law evaluated at a raw parameter vector over a set of runs.
 
     ``resid`` and ``jac`` are the log-space residuals and their Jacobian,
-    both zero on runs outside ``valid``; ``bracket`` and ``bracket_jac`` are
-    the additive bracket and its Jacobian on every run.
+    both zero on runs outside ``valid``; ``bracket`` is the additive bracket
+    on every run.
     """
 
     resid: np.ndarray
     jac: np.ndarray
     bracket: np.ndarray
-    bracket_jac: np.ndarray
     valid: np.ndarray
 
 
@@ -319,7 +306,7 @@ def _moe_kernel(theta, x, z, e, y) -> _LawEval:
     jt[8] = dr_dw * dw_du
     jt[9] = dr_dw * dw_dv
     jt[:, ~valid] = 0.0
-    return _LawEval(resid, jt.T, bracket, bracket_jt.T, valid)
+    return _LawEval(resid, jt.T, bracket, valid)
 
 
 def _dense_kernel(theta, x, z, e, y) -> _LawEval:
@@ -332,21 +319,15 @@ def _dense_kernel(theta, x, z, e, y) -> _LawEval:
     bracket_jt = np.array([-x * t_n, -z * t_d, t_n, t_d, np.ones_like(x)])
     # l0 is bounded >= 0, so the bracket stays positive and even a tiny one
     # keeps its true log residual.
-    return _LawEval(np.log(bracket) - y, (bracket_jt * (1.0 / bracket)).T, bracket, bracket_jt.T, bracket > 0)
+    return _LawEval(np.log(bracket) - y, (bracket_jt * (1.0 / bracket)).T, bracket, bracket > 0)
 
 
-def _objective_grad(ev: _LawEval, delta: float) -> tuple[float, np.ndarray]:
-    """Huber objective sum(huber(r, delta)) and its gradient J^T clip(r, ±delta).
-
-    Parameter points driving any run's additive bracket to the floor get a
-    large finite penalty instead, whose gradient (minus the violating runs'
-    summed bracket Jacobian) pushes those brackets back up.
-    """
+def _objective_value(ev: _LawEval, delta: float) -> float:
+    """Huber objective sum(huber(r, delta)), or, where any run's bracket
+    reaches the floor, a large finite penalty growing with the deficit."""
     if not ev.valid.all():
-        bad = ~ev.valid
-        obj = _PENALTY_BASE + float(np.sum(_BRACKET_FLOOR - ev.bracket[bad]))
-        return obj, -ev.bracket_jac[bad].sum(axis=0)
-    return float(np.sum(huber(ev.resid, delta))), ev.jac.T @ np.clip(ev.resid, -delta, delta)
+        return _PENALTY_BASE + float(np.sum(_BRACKET_FLOOR - ev.bracket[~ev.valid]))
+    return float(np.sum(huber(ev.resid, delta)))
 
 
 def objective(params: ScalingLawParams, runs: Sequence[TrainingRun], config: FitConfig | None = None) -> float:
@@ -360,7 +341,7 @@ def objective(params: ScalingLawParams, runs: Sequence[TrainingRun], config: Fit
     if len(runs) == 0:
         raise ValueError("runs must be non-empty")
     ev = _moe_kernel(_theta_from_params(params), *_run_arrays(_sorted_runs(runs)))
-    return _objective_grad(ev, cfg.huber_delta)[0]
+    return _objective_value(ev, cfg.huber_delta)
 
 
 def _theta_from_params(params: ScalingLawParams) -> np.ndarray:
@@ -448,11 +429,11 @@ def _identifiability_notes(runs: Sequence[TrainingRun], axes: dict[str, str], mi
     return notes
 
 
-def _split_runs(runs: list[TrainingRun], cfg: FitConfig, rng: np.random.Generator):
+def _split_runs(runs: list[TrainingRun], cfg: FitConfig):
     n_hold = int(round(cfg.holdout_fraction * len(runs)))
     if n_hold == 0:
         return runs, []
-    perm = rng.permutation(len(runs))
+    perm = np.random.default_rng(cfg.rng_seed).permutation(len(runs))
     hold_idx = set(perm[:n_hold].tolist())
     train = [r for i, r in enumerate(runs) if i not in hold_idx]
     hold = [r for i, r in enumerate(runs) if i in hold_idx]
@@ -461,56 +442,45 @@ def _split_runs(runs: list[TrainingRun], cfg: FitConfig, rng: np.random.Generato
     return train, hold
 
 
-def _sample_start_ids(sizes: tuple[int, ...], cfg: FitConfig, rng: np.random.Generator) -> np.ndarray:
-    total = math.prod(sizes)
-    if cfg.use_full_grid or cfg.max_starts >= total:
-        return np.arange(total)
-    return rng.choice(total, size=cfg.max_starts, replace=False)
+def _screen(points, terms_of, to_theta, bounds, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw parameter vector and Huber objective (inf if unusable) of each
+    candidate, one per row of nonlinear parameters in ``points``.
+
+    ``terms_of(chunk)`` gives the bracket's terms at unit coefficients
+    (S, runs, K) and the log of the bracket the losses imply (S, runs). One
+    batched least-squares solve, weighted by 1/target so errors are relative
+    like log residuals, gives the coefficients; ``pinv`` tolerates the
+    rank-deficient bases of degenerate designs. A candidate outside
+    ``bounds`` (a coefficient that must be positive is not) or whose bracket
+    reaches the floor is unusable.
+    """
+    lb, ub = np.array(bounds).T
+    thetas, objs = [], []
+    for start in range(0, len(points), _SCREEN_CHUNK):
+        chunk = points[start : start + _SCREEN_CHUNK]
+        terms, log_target = terms_of(chunk)
+        scaled = terms * np.exp(-log_target)[..., None]
+        # Unit columns keep pinv's cutoff from dropping terms that are
+        # merely small (N^-alpha is ~1e-3 at alpha = 0.34).
+        norms = np.linalg.norm(scaled, axis=1)
+        coefs = np.linalg.pinv(scaled / norms[:, None, :]).sum(axis=2) / norms
+        bracket = np.einsum("srk,sk->sr", terms, coefs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = to_theta(chunk, coefs)
+            resid = np.log(bracket) - log_target
+        usable = np.all((theta >= lb) & (theta <= ub), axis=1) & np.all(bracket > _BRACKET_FLOOR, axis=1)
+        loss = huber(np.where(usable[:, None], resid, 0.0), delta).sum(axis=1)
+        thetas.append(theta)
+        objs.append(np.where(usable, loss, np.inf))
+    return np.concatenate(thetas), np.concatenate(objs)
 
 
-def _run_starts(starts, objective_grad, bounds, cfg, init_labels):
-    """Minimize from every start; return diagnostics and (objective, index, x) winners."""
-    lb = np.array([b[0] for b in bounds])
-    ub = np.array([b[1] for b in bounds])
-    options = {
-        "maxiter": cfg.max_iterations,
-        "ftol": cfg.convergence_tol,
-        "gtol": 0.1 * cfg.convergence_tol,
-    }
-    diagnostics = []
-    results = []
-    for idx, x0 in enumerate(starts):
-        x0 = np.clip(x0, lb, ub)
-        f0, _ = objective_grad(x0)
-        res = minimize(
-            objective_grad,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options=options,
-        )
-        fun = float(res.fun) if np.isfinite(res.fun) else math.inf
-        diagnostics.append(
-            StartDiagnostic(
-                index=idx,
-                init=init_labels(x0),
-                initial_objective=float(f0),
-                final_objective=fun,
-                converged=bool(res.success),
-            )
-        )
-        results.append((fun, idx, np.array(res.x)))
-    return diagnostics, results
-
-
-def _polish_least_squares(kernel, data, x_best, bounds, delta):
-    """Trust-region refinement of one candidate from the multi-start search.
+def _polish_least_squares(kernel, data, x_start, bounds, delta):
+    """Trust-region refinement of one screened candidate.
 
     ``least_squares`` with the 'huber' loss at f_scale = delta minimizes the
-    identical objective (r^2/2 inside delta, delta*(|r| - delta/2) outside)
-    and converges far tighter than a quasi-Newton step on this badly
-    conditioned surface.
+    identical objective (r^2/2 inside delta, delta*(|r| - delta/2) outside).
+    Returns the scipy result, or None when the start is rejected.
     """
 
     # The TRF asks for the Jacobian only at points whose residuals it has
@@ -530,13 +500,12 @@ def _polish_least_squares(kernel, data, x_best, bounds, delta):
         ev = last.pop(theta.tobytes(), None)
         return (ev if ev is not None else kernel(theta, *data)).jac
 
-    lb = np.array([b[0] for b in bounds])
-    ub = np.array([b[1] for b in bounds])
+    lb, ub = np.array(bounds).T
     eps = float(np.finfo(float).eps)
     try:
-        res = least_squares(
+        return least_squares(
             fun,
-            np.clip(x_best, lb, ub),
+            np.clip(x_start, lb, ub),
             jac=jac,
             bounds=(lb, ub),
             method="trf",
@@ -549,25 +518,18 @@ def _polish_least_squares(kernel, data, x_best, bounds, delta):
         )
     except ValueError:
         return None
-    return np.array(res.x)
 
 
-_GRID_NOTE = (
-    "coefficient grid values are natural-log initializations "
-    "(coefficient starts at exp(value)); the interaction coefficient "
-    "initializes on the raw grid values"
-)
 _RMSLE_NOTE = "rmsle is in-sample on the training split; rmsle_holdout scores the held-out split"
 
 
-def _fit(runs, cfg, *, kernel, axes, fixed, bounds, init_labels, to_params, score, design, min_runs):
-    """Multi-start fit shared by both laws.
+def _fit(runs, cfg, *, kernel, separable, bounds, labels, to_params, score, design, min_runs):
+    """Screen-then-polish fit shared by both laws.
 
-    Starts take ``axes`` from ``cfg.grid_spec`` (sampled down to
-    ``max_starts`` by ``rng_seed``) followed by the ``fixed`` values. Each
-    runs L-BFGS-B on the Huber objective of ``kernel``; candidates are then
-    polished in order of final objective (start index breaking ties), and
-    the first that evaluates cleanly on every supplied run wins.
+    ``separable(cfg, *data)`` gives the law's arguments to :func:`_screen`.
+    At most ``cfg.max_starts`` usable candidates are polished, in order of
+    screened objective (grid index breaking ties); the first whose result
+    evaluates cleanly on every supplied run, held-out rows included, wins.
     """
     if len(runs) == 0:
         raise ValueError("runs must be non-empty")
@@ -576,37 +538,32 @@ def _fit(runs, cfg, *, kernel, axes, fixed, bounds, init_labels, to_params, scor
     for note in notes:
         warnings.warn(note, IdentifiabilityWarning, stacklevel=3)
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    train, hold = _split_runs(ordered, cfg, rng)
+    train, hold = _split_runs(ordered, cfg)
     data = _run_arrays(train)
+    delta = cfg.huber_delta
+    thetas, screened = _screen(*separable(cfg, *data), bounds, delta)
 
-    def fg(theta):
-        return _objective_grad(kernel(theta, *data), cfg.huber_delta)
-
-    values = [np.asarray(cfg.grid_spec[name], dtype=float) for name in axes]
-    sizes = tuple(len(v) for v in values)
-    starts = []
-    for flat in _sample_start_ids(sizes, cfg, rng):
-        coords = np.unravel_index(int(flat), sizes)
-        starts.append(np.array([v[i] for v, i in zip(values, coords)] + list(fixed)))
-
-    diagnostics, results = _run_starts(starts, fg, bounds, cfg, init_labels)
-
-    everything = _run_arrays(ordered)
-    for fun, idx, vec in sorted(results, key=lambda t: (t[0], t[1])):
-        if not math.isfinite(fun):
-            continue
-        x_pol = _polish_least_squares(kernel, data, vec, bounds, cfg.huber_delta)
-        if x_pol is not None:
-            f_pol, _ = fg(x_pol)
-            if f_pol < fun:
-                fun, vec = f_pol, x_pol
-        # The winner must evaluate cleanly on every supplied run, held-out
-        # rows included; otherwise fall through to the next-best start.
-        if np.all(kernel(vec, *everything).valid):
+    order = np.argsort(screened, kind="stable")[: cfg.max_starts]
+    diagnostics = []
+    for idx in order[np.isfinite(screened[order])]:
+        # The TRF accepts only steps that lower the objective, so its result
+        # is never worse than the screened start.
+        res = _polish_least_squares(kernel, data, thetas[idx], bounds, delta)
+        vec = thetas[idx] if res is None else np.array(res.x)
+        fun = _objective_value(kernel(vec, *data), delta)
+        diagnostics.append(
+            StartDiagnostic(
+                index=int(idx),
+                init=labels(thetas[idx]),
+                initial_objective=float(screened[idx]),
+                final_objective=fun,
+                converged=res is not None and bool(res.success),
+            )
+        )
+        if np.all(kernel(vec, *_run_arrays(ordered)).valid):
             break
     else:
-        raise FitFailedError("no optimizer start produced a usable fit")
+        raise FitFailedError("no screened candidate produced a usable fit")
 
     params = to_params(vec)
     return FitReport(
@@ -617,9 +574,9 @@ def _fit(runs, cfg, *, kernel, axes, fixed, bounds, init_labels, to_params, scor
         n_runs=len(ordered),
         n_train=len(train),
         n_holdout=len(hold),
-        starts_run=len(starts),
+        starts_run=len(diagnostics),
         per_start=tuple(diagnostics),
-        notes=tuple(notes) + (_GRID_NOTE, _RMSLE_NOTE),
+        notes=tuple(notes) + (_RMSLE_NOTE,),
     )
 
 
@@ -638,6 +595,30 @@ _MOE_BOUNDS = [
 ]
 
 
+def _moe_separable(cfg: FitConfig, x, z, e, y):
+    """The expert-aware law over (alpha, beta, gamma, interaction), with the
+    anchors held at the configured initial values (clipped into bounds)."""
+    u, v = np.clip(
+        [math.log(cfg.e_start_init - 1.0), math.log(cfg.e_max_init - cfg.e_start_init)],
+        *np.array(_MOE_BOUNDS[8:]).T,
+    )
+    e_start = 1.0 + math.exp(u)
+    gap = math.exp(v)
+    w = np.log(_effective_experts_core(e, e_start, e_start + gap, gap))
+
+    def terms(chunk):
+        alpha, beta, gamma, d_int = (col[:, None] for col in chunk.T)
+        t_n = np.exp(-alpha * x)
+        return np.stack((t_n, np.exp(-beta * w), np.exp(-gamma * z), np.ones_like(t_n)), axis=-1), y - d_int * x * w
+
+    def to_theta(chunk, coefs):
+        anchors = np.broadcast_to([u, v], (len(chunk), 2))
+        return np.column_stack([chunk[:, :3], np.log(coefs[:, :3]), chunk[:, 3], coefs[:, 3], anchors])
+
+    axes = [cfg.grid_spec[name] for name in ("alpha", "beta", "gamma", "interaction")]
+    return np.array(list(itertools.product(*axes)), dtype=float), terms, to_theta
+
+
 def _moe_labels(x0) -> dict[str, float]:
     e_start = 1.0 + math.exp(x0[8])
     labels = {name: float(value) for name, value in zip(_MOE_AXES, x0)}
@@ -648,11 +629,11 @@ def _moe_labels(x0) -> dict[str, float]:
 def fit_moe(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> FitReport:
     """Fit the expert-aware loss law to observed runs.
 
-    Multi-start L-BFGS-B on the Huber log-space objective. Starts come from
-    ``config.grid_spec`` (sampled down to ``max_starts`` by ``rng_seed``).
-    Candidates are polished by a trust-region refinement in order of final
-    objective, start index breaking ties; the first that evaluates cleanly
-    on every run wins.
+    A variable-projection screen over ``config.grid_spec`` solves for the
+    linear coefficients at each grid point and ranks the candidates by the
+    Huber log-space objective. Up to ``max_starts`` of them are polished
+    by a trust-region refinement, best first; the first that evaluates
+    cleanly on every run wins.
 
     Args:
         runs: observed (n_dense, d_tokens, experts, val_loss) records;
@@ -662,20 +643,18 @@ def fit_moe(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> Fit
 
     Returns:
         FitReport with fitted params, objective, in-sample and held-out
-        rmsle, and per-start diagnostics.
+        rmsle, and one diagnostic per polished candidate.
 
     Raises:
-        FitFailedError: if no start produced a usable parameter point.
+        FitFailedError: if no candidate produced a usable parameter point.
     """
-    cfg = config or FitConfig()
     return _fit(
         runs,
-        cfg,
+        config or FitConfig(),
         kernel=_moe_kernel,
-        axes=_MOE_AXES,
-        fixed=(math.log(cfg.e_start_init - 1.0), math.log(cfg.e_max_init - cfg.e_start_init)),
+        separable=_moe_separable,
         bounds=_MOE_BOUNDS,
-        init_labels=_moe_labels,
+        labels=_moe_labels,
         to_params=_params_from_theta,
         score=rmsle,
         design={"n_dense": "N", "d_tokens": "D", "experts": "E"},
@@ -693,6 +672,20 @@ _DENSE_BOUNDS = [
 ]
 
 
+def _dense_separable(cfg: FitConfig, x, z, e, y):
+    """The dense law over both exponents on 24 points in [0.05, 1.2]."""
+
+    def terms(chunk):
+        alpha, beta = (col[:, None] for col in chunk.T)
+        t_n = np.exp(-alpha * x)
+        return np.stack((t_n, np.exp(-beta * z), np.ones_like(t_n)), axis=-1), np.broadcast_to(y, t_n.shape)
+
+    def to_theta(chunk, coefs):
+        return np.column_stack([chunk, np.log(coefs[:, :2]), coefs[:, 2]])
+
+    return np.array(list(itertools.product(np.linspace(0.05, 1.2, 24), repeat=2))), terms, to_theta
+
+
 def fit_dense(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> FitReport:
     """Fit the dense two-term law to single-expert runs.
 
@@ -706,10 +699,9 @@ def fit_dense(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> F
         runs,
         config or FitConfig(),
         kernel=_dense_kernel,
-        axes=("alpha", "beta", "log_coef_n", "log_coef_d", "irreducible"),
-        fixed=(),
+        separable=_dense_separable,
         bounds=_DENSE_BOUNDS,
-        init_labels=lambda x0: dict(zip(("alpha", "beta", "log_coef_n", "log_coef_d", "l0"), map(float, x0))),
+        labels=lambda x0: dict(zip(("alpha", "beta", "log_coef_n", "log_coef_d", "l0"), map(float, x0))),
         to_params=_dense_params_from_theta,
         score=rmsle_dense,
         design={"n_dense": "N", "d_tokens": "D"},

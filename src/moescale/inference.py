@@ -85,6 +85,7 @@ SERVABLE, NO_MEMORY, NO_SLICE, ZERO_THROUGHPUT, NONPOSITIVE_LATENCY = range(5)
 _NOTES = {NO_SLICE: "no profile slice at this gpu count", ZERO_THROUGHPUT: "zero throughput",
           NONPOSITIVE_LATENCY: "interpolated latency is nonpositive"}
 _OVERFLOW = "model weight bytes must be finite"
+_BATCH_OVERFLOW = "serving batch must be finite; check the KV geometry and GPU memory"
 
 
 @dataclass(frozen=True)
@@ -480,7 +481,7 @@ def max_batch_size(
 
     Raises:
         InsufficientMemoryError: weights leave zero or negative headroom.
-        ValueError: the weight bytes overflow.
+        ValueError: the weight bytes or the batch overflow.
     """
     if gpus < 1:
         raise ValueError("gpus must be >= 1")
@@ -493,7 +494,11 @@ def max_batch_size(
     if headroom <= 0:
         raise InsufficientMemoryError(required_bytes=weight_bytes, min_gpus=_min_gpus(weight_bytes, hw))
     tokens_per_request = 2.0 * hw.prompt_len + hw.output_len
-    return headroom / (tokens_per_request * kv_cache_bytes_per_token(n_dense, geom, hw))
+    with np.errstate(over="ignore", divide="ignore"):
+        batch = headroom / (tokens_per_request * kv_cache_bytes_per_token(n_dense, geom, hw))
+    if not math.isfinite(batch):
+        raise ValueError(_BATCH_OVERFLOW)
+    return batch
 
 
 def _min_gpus(weight_bytes: float, hw: HardwareConfig) -> int:
@@ -631,7 +636,8 @@ def cost_grid(
 
     Raises:
         ValueError: a size or the expert count fails ``total_params``'
-            checks, a size's weight bytes overflow, or a GPU count is below 1.
+            checks, a size's weight bytes or a batch that fits overflow, or
+            a GPU count is below 1.
     """
     sizes = np.atleast_1d(np.asarray(n_dense, dtype=float))
     with np.errstate(over="ignore"):
@@ -647,6 +653,8 @@ def cost_grid(
     with np.errstate(all="ignore"):
         headroom = g * hw.gpu_mem_bytes - weight_bytes[:, None]
         batch = headroom / ((2.0 * hw.prompt_len + hw.output_len) * kv)[:, None]
+        if not np.isfinite(batch[headroom > 0]).all():
+            raise ValueError(_BATCH_OVERFLOW)
         rate, extrapolated, status = _serve(batch, weight_bytes, counts, hw, profile)
         cost = g * hw.cost_per_gpu_second / rate
     status[headroom <= 0] = NO_MEMORY

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -29,6 +30,9 @@ from moescale import (
 
 from conftest import DENSE_TRUTH, GEOMETRY_ROWS, TRUTH
 from test_inference import measured_style_profile
+
+
+BATCH_OVERFLOW = "serving batch must be finite; check the KV geometry and GPU memory"
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -288,6 +292,14 @@ class TestAllocate:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
 
+    def test_infinite_batch_exits_one(self, files):
+        proc = run_cli(
+            "allocate", "--params", str(files / "truth.json"), "--budget", "1e20",
+            "--profile", str(files / "profile.json"), "--mu", "5e-324",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {BATCH_OVERFLOW}\n"
+
     def test_overflowing_tokens_exit_one(self, files):
         proc = run_cli(
             "allocate", "--params", str(files / "truth.json"),
@@ -388,6 +400,21 @@ class TestCost:
         assert proc.stdout == ""
         assert proc.stderr == "error: model weight bytes must be finite\n"
 
+    @pytest.mark.parametrize("cause", ["kv_underflow", "infinite_memory"])
+    def test_infinite_batch_exits_one(self, files, tmp_path, cause):
+        """KV bytes per token that underflow, or unbounded GPU memory, make
+        the batch infinite and the throughput nan: an error, not a row."""
+        if cause == "kv_underflow":
+            serving = ("--profile", str(files / "profile.json"), "--mu", "5e-324")
+        else:
+            hw = json.loads((files / "hw.json").read_text())
+            (tmp_path / "hw.json").write_text(json.dumps({**hw, "gpu_mem_bytes": float("inf")}))
+            serving = (*serving_flags(files), "--hardware", str(tmp_path / "hw.json"))
+        proc = run_cli("cost", "--n", "1e9", "--e", "8", *serving)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {BATCH_OVERFLOW}\n"
+
     def test_nonpositive_latency_is_a_noted_row(self, files):
         """A measured-style profile extrapolates to a nonpositive latency on
         one GPU; that row is infeasible with a note and two GPUs serve."""
@@ -434,6 +461,11 @@ class TestVerify:
         assert "[PASS]" in proc.stdout
         assert "[FAIL]" not in proc.stdout
 
+    def test_infinite_batch_exits_one(self, files):
+        proc = run_cli("verify", "--profile", str(files / "profile.json"), "--mu", "5e-324")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {BATCH_OVERFLOW}\n"
+
 
 class TestColdImport:
     def test_non_fit_commands_load_no_scipy(self, files, tmp_path):
@@ -475,16 +507,19 @@ class TestEnvConfig:
         assert run_cli(*base, "--sigma", "0", "-o", str(forced), env=env).returncode == 0
         assert forced.read_bytes() == clean.read_bytes()
 
-    def test_unknown_config_key_exits_one(self, files, tmp_path):
+    # full_grid was the fit's run-every-start switch; the fit has no starts
+    # grid any more, so the key is as unknown as any other.
+    @pytest.mark.parametrize("key", ["bogus_option", "full_grid"])
+    def test_unknown_config_key_exits_one(self, files, tmp_path, key):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"bogus_option": 1}))
+        cfg.write_text(json.dumps({key: 1}))
         proc = run_cli(
             "synth", "runs", "--params", str(files / "truth.json"),
             "--sizes", "1e8", "--tokens", "1e10", "--experts", "8",
             "-o", str(tmp_path / "x.csv"), env={"MOESCALE_CONFIG": str(cfg)},
         )
         assert proc.returncode == 1
-        assert "bogus_option" in proc.stderr
+        assert key in proc.stderr
 
     def test_malformed_config_exits_one(self, files, tmp_path):
         cfg = tmp_path / "config.json"
@@ -538,3 +573,6 @@ class TestNumericFlags:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == ""
+        if command == "cost" and code == 0:
+            feasible = [r for r in parse_csv(out.getvalue()) if r["feasible"] == "True"]
+            assert not any(math.isnan(float(r["cost_per_token"])) for r in feasible)

@@ -1,7 +1,8 @@
-"""Fitting machinery: Huber objective, multi-start recovery, CSV I/O."""
+"""Fitting machinery: Huber objective, screen-then-polish recovery, CSV I/O."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,15 +24,21 @@ from moescale import (
 )
 from moescale.fitting import (
     _BRACKET_FLOOR,
+    _MOE_BOUNDS,
     _PENALTY_BASE,
     _dense_kernel,
     _moe_kernel,
-    _objective_grad,
+    _moe_separable,
+    _objective_value,
     _run_arrays,
+    _screen,
+    _sorted_runs,
+    _split_runs,
     _theta_from_params,
 )
 
-from conftest import DENSE_TRUTH, TRUTH
+from conftest import DENSE_TRUTH, DESIGN_D, DESIGN_E, DESIGN_N, TRUTH
+from test_allocation import random_law
 
 
 def small_design(truth, sigma=0.0, seed=0):
@@ -49,16 +56,32 @@ def small_design(truth, sigma=0.0, seed=0):
     return synth_runs(spec)
 
 
-TRUTH_SINGLETON_GRID = {
-    "alpha": (TRUTH.alpha,),
-    "beta": (TRUTH.beta,),
-    "gamma": (TRUTH.gamma,),
-    "log_coef_n": (math.log(TRUTH.coef_N),),
-    "log_coef_e": (math.log(TRUTH.coef_E),),
-    "log_coef_d": (math.log(TRUTH.coef_D),),
-    "interaction": (TRUTH.interaction,),
-    "irreducible": (TRUTH.irreducible,),
-}
+def canonical_design(truth, seed):
+    """The 100-run canonical design at 0.2% noise."""
+    from moescale import SynthSpec, synth_runs
+
+    spec = SynthSpec(
+        ground_truth=truth,
+        n_dense=DESIGN_N,
+        d_tokens=DESIGN_D,
+        experts=DESIGN_E,
+        noise_sigma=0.002,
+        rng_seed=seed,
+    )
+    return synth_runs(spec)
+
+
+# The screen seeded at the truth: its nonlinear parameters and anchors.
+TRUTH_AT_THE_GRID = dict(
+    grid_spec={
+        "alpha": (TRUTH.alpha,),
+        "beta": (TRUTH.beta,),
+        "gamma": (TRUTH.gamma,),
+        "interaction": (TRUTH.interaction,),
+    },
+    e_start_init=TRUTH.e_start,
+    e_max_init=TRUTH.e_max,
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,27 +171,21 @@ class TestFitMoe:
         rep = moe_fit_clean
         assert rep.n_runs == 64
         assert rep.n_train == 51 and rep.n_holdout == 13
-        assert rep.starts_run == 192 == len(rep.per_start)
+        # The best screened candidate evaluates cleanly on every run, so
+        # it is the only one polished.
+        assert rep.starts_run == 1 == len(rep.per_start)
+        assert rep.per_start[0].converged
         assert rep.rmsle_holdout is not None
         assert rep.rmsle_holdout < 1.0e-6
 
     def test_local_search_cannot_worsen_its_start(self, truth):
         """Seeded at the truth, the fit must end at least as good."""
         runs = small_design(truth, sigma=0.002, seed=3)
-        cfg = FitConfig(
-            grid_spec=TRUTH_SINGLETON_GRID,
-            use_full_grid=True,
-            holdout_fraction=0.0,
-            e_start_init=truth.e_start,
-            e_max_init=truth.e_max,
-        )
+        cfg = FitConfig(holdout_fraction=0.0, **TRUTH_AT_THE_GRID)
         rep = fit_moe(runs, cfg)
         assert rep.starts_run == 1
-        truth_obj = objective(truth, runs, cfg)
-        assert rep.objective <= truth_obj * (1.0 + 1.0e-12)
-        np.testing.assert_allclose(
-            rep.per_start[0].initial_objective, truth_obj, rtol=1.0e-9
-        )
+        assert rep.objective <= objective(truth, runs, cfg) * (1.0 + 1.0e-12)
+        assert rep.objective <= rep.per_start[0].initial_objective
 
     def test_never_worse_than_any_sampled_start(self, moe_fit_clean):
         best_init = min(d.initial_objective for d in moe_fit_clean.per_start)
@@ -224,6 +241,93 @@ class TestFitMoe:
         assert any("N" in note for note in rep.notes)
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "grid_spec,message",
+        [
+            ({"alpha": (0.3,), "beta": (0.3,), "gamma": (0.3,)}, "missing axes: interaction"),
+            # A grid of the old multi-start form: its coefficient axes would
+            # be silently ignored.
+            (
+                {
+                    **TRUTH_AT_THE_GRID["grid_spec"],
+                    "log_coef_n": (0.0,),
+                    "log_coef_e": (0.0,),
+                    "log_coef_d": (0.0,),
+                    "irreducible": (0.0,),
+                },
+                "unknown axes: irreducible, log_coef_d, log_coef_e, log_coef_n",
+            ),
+            ({**TRUTH_AT_THE_GRID["grid_spec"], "gamma": ()}, "axis 'gamma' is empty"),
+        ],
+        ids=["missing", "unknown", "empty"],
+    )
+    def test_grid_spec_axes_are_checked(self, grid_spec, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(grid_spec=grid_spec)
+
+
+class TestScreen:
+    def test_recovers_the_linear_coefficients_at_the_generating_point(self, truth, clean_runs64):
+        cfg = FitConfig(**TRUTH_AT_THE_GRID)
+        data = _run_arrays(clean_runs64)
+        thetas, objs = _screen(*_moe_separable(cfg, *data), _MOE_BOUNDS, cfg.huber_delta)
+        assert thetas.shape == (1, 10)
+        coefs = [*np.exp(thetas[0, 3:6]), thetas[0, 7]]
+        np.testing.assert_allclose(
+            coefs, [truth.coef_N, truth.coef_E, truth.coef_D, truth.irreducible], rtol=1.0e-9
+        )
+        np.testing.assert_allclose(objs[0], _objective_value(_moe_kernel(thetas[0], *data), 1.0e-3), atol=1.0e-28)
+
+    def test_single_size_design_screens(self, truth):
+        """One model size makes N^-alpha a constant column: the solve is
+        rank-deficient and still gives usable candidates."""
+        runs = [r for r in small_design(truth) if r.n_dense == 1.0e8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, objs = _screen(*_moe_separable(FitConfig(), *_run_arrays(runs)), _MOE_BOUNDS, 1.0e-3)
+        assert len(objs) == 8704
+        assert np.isfinite(objs).any()
+
+
+def train_split(runs, cfg):
+    return _split_runs(_sorted_runs(runs), cfg)[0]
+
+
+class TestReachesTheGeneratingLaw:
+    """The fit ends at or below the objective of the law that generated the
+    runs, on its own training split. Noise-free designs sit at the rounding
+    floor, about one ulp of log loss per run."""
+
+    @pytest.mark.parametrize(
+        "law_seed,noise_seed",
+        [(None, 19), (None, 22), (None, 28), (None, 31), (1000, 500), (1001, 501)],
+        ids=["seed19", "seed22", "seed28", "seed31", "random_law1000", "random_law1001"],
+    )
+    def test_noisy_canonical_designs(self, law_seed, noise_seed):
+        law = TRUTH if law_seed is None else random_law(np.random.default_rng(law_seed))
+        runs = canonical_design(law, noise_seed)
+        rep = fit_moe(runs)
+        assert rep.objective <= objective(law, train_split(runs, FitConfig()))
+
+    def test_noise_free_design_at_max_starts_512(self, clean_runs64):
+        cfg = FitConfig(max_starts=512)
+        train = train_split(clean_runs64, cfg)
+        floor = len(train) * np.finfo(float).eps ** 2
+        assert fit_moe(clean_runs64, cfg).objective <= objective(TRUTH, train) + floor
+
+    @pytest.mark.parametrize("seed", [19, 22, 28, 31])
+    def test_dense_law_on_single_expert_rows(self, seed):
+        """Without the interaction, the E=1 rows follow a dense law exactly."""
+        law = dataclasses.replace(TRUTH, interaction=0.0)
+        runs = [r for r in canonical_design(law, seed) if r.experts == 1.0]
+        l0 = law.irreducible + law.coef_E * law.e_start**-law.beta
+        theta = np.array([law.alpha, law.gamma, math.log(law.coef_N), math.log(law.coef_D), l0])
+        train = train_split(runs, FitConfig())
+        truth_obj = _objective_value(_dense_kernel(theta, *_run_arrays(train)), 1.0e-3)
+        assert fit_dense(runs).objective <= truth_obj
+
+
 @pytest.fixture(scope="module")
 def dense_runs():
     runs = []
@@ -255,72 +359,25 @@ class TestFitDense:
         assert any("N" in note for note in rep.notes)
 
 
-class TestAnalyticGradients:
-    """Central-difference checks of J^T clip(r, ±delta) from each law's kernel,
-    away from the Huber knee, and of the MoE penalty branch."""
-
-    # Residual offsets are either well inside the quadratic region or well
-    # outside it; a finite-difference step cannot cross |r| = delta.
-    OFFSETS = (0.05, -0.03, 1.0e-4, 0.02, -5.0e-5, 0.04, -0.02, 8.0e-5)
-
-    def _offset_runs(self, clean_runs):
-        out = []
-        for i, r in enumerate(clean_runs[:24]):
-            off = self.OFFSETS[i % len(self.OFFSETS)]
-            out.append(
-                TrainingRun(r.n_dense, r.d_tokens, r.experts, r.val_loss * math.exp(off))
-            )
-        return out
+class TestKernelJacobians:
+    """Central-difference checks of each law kernel's residual Jacobian,
+    which the TRF polish consumes, and of the MoE penalty value."""
 
     @staticmethod
-    def _check_against_finite_differences(kernel, theta, data, delta=1.0e-3):
-        _, grad = _objective_grad(kernel(theta, *data), delta)
+    def _check_against_finite_differences(kernel, theta, data):
+        jac = kernel(theta, *data).jac
         for k in range(len(theta)):
             h = 1.0e-6 * max(1.0, abs(theta[k]))
             tp, tm = theta.copy(), theta.copy()
             tp[k] += h
             tm[k] -= h
-            fp, _ = _objective_grad(kernel(tp, *data), delta)
-            fm, _ = _objective_grad(kernel(tm, *data), delta)
-            fd = (fp - fm) / (2.0 * h)
-            np.testing.assert_allclose(grad[k], fd, rtol=1.0e-5, atol=1.0e-10)
+            fd = (kernel(tp, *data).resid - kernel(tm, *data).resid) / (2.0 * h)
+            np.testing.assert_allclose(jac[:, k], fd, rtol=1.0e-6, atol=1.0e-8)
 
-    def test_moe_gradient_matches_finite_differences(self, truth, clean_runs64):
-        data = _run_arrays(self._offset_runs(clean_runs64))
-        self._check_against_finite_differences(_moe_kernel, _theta_from_params(truth), data)
+    def test_moe_jacobian_matches_finite_differences(self, truth, clean_runs64):
+        self._check_against_finite_differences(_moe_kernel, _theta_from_params(truth), _run_arrays(clean_runs64))
 
-    def test_moe_penalty_gradient_matches_finite_differences(self, truth, clean_runs64):
-        data = _run_arrays(clean_runs64)
-        theta = _theta_from_params(truth)
-        theta[7] = -1.3  # sinks some brackets below the floor, not all
-        ev = _moe_kernel(theta, *data)
-        bad = ~ev.valid
-        assert 0 < np.count_nonzero(bad) < len(bad)
-
-        # The penalty is a constant base plus the summed bracket deficit;
-        # difference the deficit alone, since the base would swamp the step.
-        def deficit(t):
-            return float(np.sum(_BRACKET_FLOOR - _moe_kernel(t, *data).bracket[bad]))
-
-        obj, grad = _objective_grad(ev, 1.0e-3)
-        assert obj == _PENALTY_BASE + deficit(theta)
-        for k in range(len(theta)):
-            h = 1.0e-6 * max(1.0, abs(theta[k]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += h
-            tm[k] -= h
-            fd = (deficit(tp) - deficit(tm)) / (2.0 * h)
-            np.testing.assert_allclose(grad[k], fd, rtol=1.0e-5, atol=1.0e-10)
-
-    def test_dense_gradient_matches_finite_differences(self, dense_truth):
-        runs = []
-        i = 0
-        for n in (1.0e8, 3.2e8, 1.5e9):
-            for d in (2.5e9, 1.0e10, 4.0e10):
-                off = self.OFFSETS[i % len(self.OFFSETS)]
-                loss = float(predict_loss_dense(n, d, dense_truth)) * math.exp(off)
-                runs.append(TrainingRun(n, d, 1.0, loss))
-                i += 1
+    def test_dense_jacobian_matches_finite_differences(self, dense_runs, dense_truth):
         theta = np.array(
             [
                 dense_truth.alpha,
@@ -330,7 +387,17 @@ class TestAnalyticGradients:
                 dense_truth.l0,
             ]
         )
-        self._check_against_finite_differences(_dense_kernel, theta, _run_arrays(runs))
+        self._check_against_finite_differences(_dense_kernel, theta, _run_arrays(dense_runs))
+
+    def test_moe_penalty_is_base_plus_bracket_deficit(self, truth, clean_runs64):
+        data = _run_arrays(clean_runs64)
+        theta = _theta_from_params(truth)
+        theta[7] = -1.3  # sinks some brackets below the floor, not all
+        ev = _moe_kernel(theta, *data)
+        bad = ~ev.valid
+        assert 0 < np.count_nonzero(bad) < len(bad)
+        deficit = float(np.sum(_BRACKET_FLOOR - ev.bracket[bad]))
+        assert _objective_value(ev, 1.0e-3) == _PENALTY_BASE + deficit
 
     def test_nearly_coincident_expert_anchors_stay_finite(self, truth, clean_runs64):
         """At the fit's lower bound v = -30 the anchor gap is ~1e-13."""
@@ -339,10 +406,10 @@ class TestAnalyticGradients:
         theta[9] = -30.0
         with np.errstate(all="raise"):
             ev = _moe_kernel(theta, *data)
-            obj, grad = _objective_grad(ev, 1.0e-3)
+            obj = _objective_value(ev, 1.0e-3)
         assert ev.valid.all()
         assert math.isfinite(obj)
-        assert np.all(np.isfinite(grad))
+        assert np.all(np.isfinite(ev.jac))
         # The public law with the same anchors agrees with the kernel.
         params = dataclasses.replace(truth, e_max=truth.e_start + math.exp(-30.0))
         x, z, e, y = data
