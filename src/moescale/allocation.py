@@ -15,15 +15,18 @@ Searches run on log model size. Loss along the budget slice is unimodal
 golden-section for the optimum and bisection on the under-trained branch,
 where loss decreases toward the optimum. The branch is still probed
 empirically before every bisection; a violation raises instead of quietly
-returning a wrong root. Serving cost along size is a nondecreasing
-envelope with upward jumps where the minimum feasible GPU count steps up,
-so the cost-bounded search brackets the feasible/infeasible transition with
-a coarse scan before bisecting the predicate. Both price many sizes per
-call of ``inference.cost_grid``: the scan in one call, the bisection the
-next few levels of midpoints at a time. A size no GPU count can serve is
-over every cost bound: a sweep flags its row with the unservable cells'
-notes, and an answer there raises ``NoFeasibleGpuError`` (the one-cell
-views of ``inference`` raise ``UnservableError``).
+returning a wrong root. The cost-bounded search takes as a premise that
+serving cost along size is a nondecreasing envelope with upward jumps where
+the minimum feasible GPU count steps up, and brackets the transition with a
+coarse scan before bisecting the predicate. The premise holds on affine
+profiles and fails where per-token latency rises with batch (every
+measured-style slice); there the answer may not be the largest feasible
+size. Both price many sizes per call of ``inference.cost_grid``: the scan
+in one call, the bisection the next few levels of midpoints at a time. A
+size no GPU count can serve is over every cost bound: a sweep flags its
+row with the unservable cells' notes, and an answer there raises
+``NoFeasibleGpuError`` (the one-cell views of ``inference`` raise
+``UnservableError``).
 
 Inputs are checked once, before any search: ``SearchConfig`` checks its
 bounds and tolerance, and ``moe_loss_optimal``, which every entry calls
@@ -363,12 +366,14 @@ def min_loss_for_bounded_cost(
     """Best experts_prime model serving no pricier than the experts_base
     optimum at the same budget.
 
-    Loss improves with size up to the experts_prime optimum while serving
-    cost only grows, so the answer is the largest size under the bound,
-    capped at that optimum. The feasibility predicate cost(N) <= bound is
-    monotone with upward jumps at GPU-count steps; a 64-point coarse scan
-    brackets the transition, then bisection sharpens it. ``cost_bound``
-    overrides the bound; experts_base is ignored then.
+    Loss improves with size up to the experts_prime optimum. Taking as a
+    premise that serving cost only grows with size, the answer is the
+    largest size under the bound, capped at that optimum: a 64-point coarse
+    scan brackets the transition of cost(N) <= bound, then bisection
+    sharpens it. The premise holds on affine profiles but fails where
+    per-token latency rises with batch (every measured-style slice), and
+    the answer may then lie below the largest feasible size.
+    ``cost_bound`` overrides the bound; experts_base is ignored then.
 
     Raises:
         CostBoundUnreachableError: even the smallest size in n_bounds costs

@@ -27,21 +27,22 @@ nonpositive latency); a batch below one request serves nothing, as in
 notes why each unservable GPU count is infeasible, ``min_cost_over_gpus``
 skips it, and the one-cell views (``throughput``, ``cost_per_token``) raise
 a typed error, ``UnservableError`` naming the GPU count where no cost holds.
-Its lookup runs on tensors the profile builds on the first cost query for
-a set of GPU counts and keeps (the profile is immutable): each stage's
-slices stacked row by row, grid points padded with +inf to a common
-length, so the cell index ``clip(count(grid <= x) - 1, 0, n - 2)`` is
-``bisect_right``'s, and the four corner terms are summed from 0.0 in the
-scalar lookup's order. Results match the scalar chain bit for bit. The KV
-term keeps Python's ``**`` per size, because ``np.power`` differs from it
-in the last ulp on some sizes.
+The profile has one lookup, and ``LatencyProfile.interpolate`` is a
+one-cell view of it. It runs on tensors the profile builds on the first
+query for a set of GPU counts and keeps (the profile is immutable): each
+stage's slices stacked row by row, grid points padded with +inf to a
+common length, so the cell index ``clip(count(grid <= x) - 1, 0, n - 2)``
+is ``bisect_right``'s, and the four corner terms are summed from 0.0 in
+the order above. The tests keep a scalar bisect-and-bilinear lookup and
+the scalar chain built on it as an independent reference; results match
+them bit for bit. The KV term keeps Python's ``**`` per size, because
+``np.power`` differs from it in the last ulp on some sizes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -110,6 +111,9 @@ class HardwareConfig:
     dtype_bytes: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.gpu_mem_bytes > 0:
             raise ValueError("gpu_mem_bytes must be positive")
         if self.max_gpus < 1:
@@ -127,14 +131,15 @@ class HardwareConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "HardwareConfig":
         """Build from a flat dict; missing keys fall back to the defaults,
-        unknown keys are rejected."""
+        unknown keys are rejected, and non-finite values are left for
+        ``__post_init__`` to name."""
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - names)
         if unknown:
             raise ValueError(f"unknown keys for HardwareConfig: {', '.join(unknown)}")
         kwargs = dict(data)
         for key in ("max_gpus", "prompt_len", "output_len"):
-            if key in kwargs:
+            if key in kwargs and math.isfinite(float(kwargs[key])):
                 value = kwargs[key]
                 if float(value) != int(value):
                     raise ValueError(f"{key} must be an integer")
@@ -227,17 +232,19 @@ class LatencyProfile:
     Samples must form a complete rectangular (batch x model_bytes) grid for
     every (stage, gpus) slice present, with at least two distinct batch
     sizes and two distinct model sizes per slice. Lookups are pure and
-    thread-safe. The first cost query for a set of GPU counts also builds
-    padded array copies of those slices (see :func:`cost_grid`) and keeps
-    them; two threads racing to build the same copy store equal arrays.
+    thread-safe. The first query for a set of GPU counts builds padded
+    array copies of those slices (see :func:`cost_grid`) and keeps them;
+    two threads racing to build the same copy store equal arrays.
 
-    A lookup finds the cell ``i = clip(bisect_right(grid, x) - 1, 0, n - 2)``
-    on each axis, takes the weight ``y = (x - grid[i]) / (grid[i+1] - grid[i])``
-    and sums the four corners as in the module docstring, in that order,
-    from 0.0. This is scipy's linear ``RegularGridInterpolator`` (with
-    ``fill_value=None``) term for term, so results match it bit for bit.
-    Queries outside a slice's hull fall in the edge cell and so extrapolate
-    linearly from the nearest edge; they report it.
+    There is one lookup, over those arrays; :meth:`interpolate` is its
+    one-cell view. It finds the cell
+    ``i = clip(bisect_right(grid, x) - 1, 0, n - 2)`` on each axis, takes
+    the weight ``y = (x - grid[i]) / (grid[i+1] - grid[i])`` and sums the
+    four corners as in the module docstring, in that order, from 0.0. This
+    is scipy's linear ``RegularGridInterpolator`` (with ``fill_value=None``)
+    term for term, so results match it bit for bit. Queries outside a
+    slice's hull fall in the edge cell and so extrapolate linearly from the
+    nearest edge; they report it.
     """
 
     def __init__(self, samples: Sequence[LatencySample]):
@@ -282,37 +289,24 @@ class LatencyProfile:
         return (stage, int(gpus)) in self._grids
 
     def interpolate(self, stage: str, model_bytes: float, gpus: int, batch: float) -> tuple[float, bool]:
-        """Latency in seconds plus a flag set when the query left the hull."""
+        """Latency in seconds plus a flag set when the query left the hull:
+        one cell of :meth:`_lookup`."""
         if stage not in PROFILE_STAGES:
             raise ValueError(f"stage must be one of {PROFILE_STAGES}")
-        if not batch > 0:
-            raise ValueError("batch must be positive")
-        if not model_bytes > 0:
-            raise ValueError("model_bytes must be positive")
-        key = (stage, int(gpus))
-        if key not in self._grids:
+        if not 0 < batch < math.inf:
+            raise ValueError("batch must be positive and finite")
+        if not 0 < model_bytes < math.inf:
+            raise ValueError("model_bytes must be positive and finite")
+        if not self.has_slice(stage, gpus):
             raise MissingProfileSliceError(stage, int(gpus))
-        batches, models, values = self._grids[key]
-        i, y0 = _cell(batches, batch)
-        j, y1 = _cell(models, model_bytes)
-        lo, hi = values[i], values[i + 1]
-        value = (
-            0.0
-            + lo[j] * (1 - y0) * (1 - y1)
-            + lo[j + 1] * (1 - y0) * y1
-            + hi[j] * y0 * (1 - y1)
-            + hi[j + 1] * y0 * y1
-        )
-        extrapolated = bool(
-            batch < batches[0]
-            or batch > batches[-1]
-            or model_bytes < models[0]
-            or model_bytes > models[-1]
-        )
-        return float(value), extrapolated
+        cell = np.array([[batch]], dtype=float)
+        with np.errstate(all="ignore"):  # the other stage's row may be a stand-in
+            found = self._lookup((int(gpus),), np.array([model_bytes], dtype=float), cell, cell)
+        value, outside = found[0:2] if stage == "prompt" else found[2:4]
+        return float(value[0, 0]), bool(outside[0, 0])
 
     def _lookup(self, gpus: tuple, model_bytes, prompt_batch, decode_batch):
-        """:meth:`interpolate` of both stages for sizes (rows) x GPU counts
+        """Bilinear latencies of both stages for sizes (rows) x GPU counts
         (columns), unchecked.
 
         ``model_bytes`` has one entry per size and each batch array one per
@@ -406,13 +400,6 @@ class LatencyProfile:
         )
 
 
-def _cell(grid: list[float], x: float) -> tuple[int, float]:
-    """Index of the grid cell used for ``x`` (the edge cell outside the
-    grid) and ``x``'s fractional position in it."""
-    i = min(max(bisect_right(grid, x) - 1, 0), len(grid) - 2)
-    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
-
-
 class _PaddedGrid(NamedTuple):
     """One axis of several slices: a row of ascending points per slice,
     padded with +inf to a common length, with what a lookup needs of it."""
@@ -447,9 +434,10 @@ _NO_SLICE_GRID = ([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
 
 
 def _cells(grid: _PaddedGrid, x: np.ndarray):
-    """:func:`_cell` and the hull test for every cell, one grid row per
-    column of ``x``. Counting the points ``<= x`` is ``bisect_right``,
-    since the +inf padding never counts."""
+    """Index of the grid cell used for each ``x`` (the edge cell outside
+    the grid), ``x``'s fractional position in it, and whether ``x`` left
+    the grid; one grid row per column of ``x``. Counting the points
+    ``<= x`` is ``bisect_right``, since the +inf padding never counts."""
     i = np.minimum(np.maximum((grid.points <= x[..., None]).sum(axis=-1) - 1, 0), grid.last_cell)
     lo = grid.points[grid.rows, i]
     outside = (x < grid.first) | (x > grid.last)
@@ -503,7 +491,11 @@ def max_batch_size(
 
 def _min_gpus(weight_bytes: float, hw: HardwareConfig) -> int:
     """Smallest GPU count whose memory exceeds the weights."""
-    return int(math.floor(weight_bytes / hw.gpu_mem_bytes)) + 1
+    ratio = float(weight_bytes) / hw.gpu_mem_bytes
+    if math.isinf(ratio):  # a count past float range, taken exactly
+        (a, b), (c, d) = float(weight_bytes).as_integer_ratio(), hw.gpu_mem_bytes.as_integer_ratio()
+        return a * d // (b * c) + 1
+    return math.floor(ratio) + 1
 
 
 def throughput_for_batch(

@@ -3,6 +3,7 @@ output determinism, and the environment-variable config hook."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -402,13 +403,15 @@ class TestCost:
 
     @pytest.mark.parametrize("cause", ["kv_underflow", "infinite_memory"])
     def test_infinite_batch_exits_one(self, files, tmp_path, cause):
-        """KV bytes per token that underflow, or unbounded GPU memory, make
-        the batch infinite and the throughput nan: an error, not a row."""
+        """KV bytes per token that underflow, or GPU memory so large that two
+        GPUs' worth overflows, make the batch infinite and the throughput
+        nan: an error, not a row. (Memory that is itself infinite is a
+        hardware field error; see TestNumericFlags.)"""
         if cause == "kv_underflow":
             serving = ("--profile", str(files / "profile.json"), "--mu", "5e-324")
         else:
             hw = json.loads((files / "hw.json").read_text())
-            (tmp_path / "hw.json").write_text(json.dumps({**hw, "gpu_mem_bytes": float("inf")}))
+            (tmp_path / "hw.json").write_text(json.dumps({**hw, "gpu_mem_bytes": 1.7e308}))
             serving = (*serving_flags(files), "--hardware", str(tmp_path / "hw.json"))
         proc = run_cli("cost", "--n", "1e9", "--e", "8", *serving)
         assert proc.returncode == 1
@@ -545,6 +548,15 @@ ALLOCATE_FLAGS = (
 )
 
 
+# Edge values for the hardware JSON fields. max_gpus takes no huge finite
+# value: the cost grid has one column per GPU count.
+HARDWARE_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan, -1.0, 8.0, 1e20]),
+    st.floats(),
+)
+MAX_GPUS = st.sampled_from([0.0, -1.0, 1.0, 2.5, 8.0, math.inf, -math.inf, math.nan])
+
+
 class TestNumericFlags:
     """Any number on cost's and allocate's numeric flags ends in an exit code
     and at most one error line: no traceback and no warning."""
@@ -564,6 +576,13 @@ class TestNumericFlags:
         argv += ["--profile", str(files / data.draw(st.sampled_from(["profile.json", "measured.json"])))]
         if not any(arg.startswith("--mu=") for arg in argv):
             argv += ["--geometry", str(files / "geometry.csv")]
+        self.run_main(argv)
+
+    @staticmethod
+    def run_main(argv):
+        """Run the CLI in process with warnings as errors, check that it ends
+        in an exit code with one error line or none (and, for cost, no nan
+        cost on a feasible row), and return the code and stderr."""
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
@@ -573,6 +592,42 @@ class TestNumericFlags:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == ""
-        if command == "cost" and code == 0:
+        if argv[0] == "cost" and code == 0:
             feasible = [r for r in parse_csv(out.getvalue()) if r["feasible"] == "True"]
             assert not any(math.isnan(float(r["cost_per_token"])) for r in feasible)
+        return code, err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["cost", "allocate"]), data=st.data())
+    def test_hardware_fields_end_in_an_exit_code(self, files, command, data):
+        """Any number in a hardware JSON field ends in an exit code; a
+        non-finite one is an input error that names its field."""
+        hw = {
+            f.name: data.draw(MAX_GPUS if f.name == "max_gpus" else HARDWARE_NUMBERS, label=f.name)
+            for f in dataclasses.fields(HardwareConfig) if data.draw(st.booleans())
+        }
+        path = files / "fuzzed_hw.json"
+        path.write_text(json.dumps(hw))
+        if command == "cost":
+            argv = ["cost", "--n=1e9", "--e=8"]
+        else:
+            argv = ["allocate", "--budget=1e20", "--mode", data.draw(st.sampled_from(["optimal", "bound-cost"])),
+                    "--e-base=4", "--e-prime=16", "--params", str(files / "truth.json")]
+        argv += ["--hardware", str(path), "--profile", str(files / "profile.json")]
+        code, err = self.run_main(argv + ["--geometry", str(files / "geometry.csv")])
+        if not all(math.isfinite(v) for v in hw.values()):
+            named = re.match(r"error: (\w+) must be", err)
+            assert code == 1 and named and named.group(1) in hw
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cost_per_gpu_second", math.inf), ("max_gpus", math.inf), ("max_gpus", math.nan),
+         ("prompt_len", math.inf), ("gpu_mem_bytes", -math.inf), ("dtype_bytes", math.nan)],
+    )
+    def test_non_finite_hardware_field_is_named(self, files, tmp_path, field, value):
+        (tmp_path / "hw.json").write_text(json.dumps({field: value}))
+        proc = run_cli("cost", "--n", "1e9", "--e", "8", "--mu", "0.03", "--hardware", str(tmp_path / "hw.json"),
+                       "--profile", str(files / "profile.json"))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {field} must be finite\n"

@@ -3,6 +3,7 @@ throughput, and the cheapest-GPU-count search."""
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -50,6 +51,33 @@ def constant_profile(latency_by_gpus, batches=(1.0, 8192.0), models=(1.0e8, 1.0e
                 for m in models:
                     samples.append(LatencySample(stage, float(m), int(g), float(b), lat))
     return LatencyProfile(samples)
+
+
+def scalar_interpolate(profile, stage, model_bytes, gpus, batch):
+    """Independent reference for the profile lookup: the slice rebuilt from
+    ``profile.samples``, the cell found by bisection on each axis, and the
+    four corners summed from 0.0 as the module docstring orders them."""
+    cell = {(s.batch, s.model_bytes): s.latency_s for s in profile.samples if (s.stage, s.gpus) == (stage, gpus)}
+    if not cell:
+        raise MissingProfileSliceError(stage, gpus)
+    batches = sorted({b for b, _ in cell})
+    models = sorted({m for _, m in cell})
+
+    def locate(grid, x):
+        i = min(max(bisect_right(grid, x) - 1, 0), len(grid) - 2)
+        return i, (x - grid[i]) / (grid[i + 1] - grid[i])
+
+    i, y0 = locate(batches, batch)
+    j, y1 = locate(models, model_bytes)
+    value = (
+        0.0
+        + cell[batches[i], models[j]] * (1 - y0) * (1 - y1)
+        + cell[batches[i], models[j + 1]] * (1 - y0) * y1
+        + cell[batches[i + 1], models[j]] * y0 * (1 - y1)
+        + cell[batches[i + 1], models[j + 1]] * y0 * y1
+    )
+    inside = batches[0] <= batch <= batches[-1] and models[0] <= model_bytes <= models[-1]
+    return float(value), not inside
 
 
 class TestGeometryFit:
@@ -184,6 +212,27 @@ class TestLatencyProfile:
         with pytest.raises(MissingProfileSliceError) as exc:
             affine.interpolate("decode", 1.0e9, 5, 100.0)
         assert exc.value.gpus == 5
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_query_rejected(self, affine, bad):
+        with pytest.raises(ValueError, match="batch must be positive and finite"):
+            affine.interpolate("decode", 1.0e9, 2, bad)
+        with pytest.raises(ValueError, match="model_bytes must be positive and finite"):
+            affine.interpolate("decode", bad, 2, 100.0)
+
+    def test_one_stage_slice(self, affine):
+        """A prompt slice with no decode slice at its GPU count: the prompt
+        lookup reads its own row, not the stand-in for the missing one."""
+        extra = [LatencySample("prompt", m, 3, b, 0.02 + 3.0e-5 * b + 2.0e-12 * m)
+                 for b in (4.0, 64.0, 900.0) for m in (5.0e8, 2.0e10)]
+        prof = LatencyProfile(affine.samples + tuple(extra))
+        for b, m in [(4.0, 5.0e8), (37.0, 3.1e9), (900.0, 2.0e10), (1.5, 1.0e8), (5000.0, 1.0e11)]:
+            got = prof.interpolate("prompt", m, 3, b)
+            want = scalar_interpolate(prof, "prompt", m, 3, b)
+            assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
+        with pytest.raises(MissingProfileSliceError) as exc:
+            prof.interpolate("decode", 1.0e9, 3, 64.0)
+        assert (exc.value.stage, exc.value.gpus) == ("decode", 3)
 
     def test_non_rectangular_grid_rejected(self):
         samples = [
@@ -476,7 +525,8 @@ class TestUnservable:
 
 def reference_cell(n_dense, experts, g, hw, geom, profile):
     """One (size, GPU count) cell priced by the scalar chain: the public
-    batch sizing and profile lookup, one stage and one check at a time."""
+    batch sizing and the reference lookup, one stage and one check at a
+    time."""
     n_total = total_params(n_dense, experts)
     try:
         batch = max_batch_size(n_total, n_dense, g, hw, geom)
@@ -486,8 +536,8 @@ def reference_cell(n_dense, experts, g, hw, geom, profile):
         return {"status": ZERO_THROUGHPUT, "batch": batch, "note": "zero throughput"}
     model_bytes = n_total * hw.dtype_bytes
     try:
-        lat_prompt, out_prompt = profile.interpolate("prompt", model_bytes, g, batch / hw.output_len)
-        lat_decode, out_decode = profile.interpolate("decode", model_bytes, g, batch)
+        lat_prompt, out_prompt = scalar_interpolate(profile, "prompt", model_bytes, g, batch / hw.output_len)
+        lat_decode, out_decode = scalar_interpolate(profile, "decode", model_bytes, g, batch)
     except MissingProfileSliceError:
         return {"status": NO_SLICE, "batch": batch, "note": "no profile slice at this gpu count"}
     total = lat_prompt + lat_decode
@@ -605,6 +655,21 @@ class TestCostGrid:
                     assert bool(grid.extrapolated[s, k]) == want["extrapolated"]
                 if "cost_per_token" in want:
                     assert _bits(grid.cost_per_token[s, k]) == _bits(want["cost_per_token"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(serving_setups(), st.integers(0, 2**32 - 1))
+    def test_interpolate_equals_the_scalar_lookup(self, setup, seed):
+        """The one-cell view of the lookup is the reference lookup, bit for
+        bit and flag for flag, on every node and at points inside and up to
+        20x outside each slice's hull."""
+        profile = setup[0]
+        rng = np.random.default_rng(seed)
+        for stage, gpus in profile.slices():
+            batch, model_bytes = TestInterpolateMatchesScipy.queries(profile, stage, gpus, rng, 8)
+            for b, m in zip(batch.tolist(), model_bytes.tolist()):
+                got = profile.interpolate(stage, m, gpus, b)
+                want = scalar_interpolate(profile, stage, m, gpus, b)
+                assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
 
     @settings(max_examples=150, deadline=None)
     @given(serving_setups())
