@@ -15,8 +15,8 @@ give byte-identical bytes. Exit codes: 0 success, 1 input or parse error,
 2 infeasible or unreachable bound, 3 numeric failure.
 
 A JSON file named by the MOESCALE_CONFIG environment variable supplies
-per-flag defaults (keys are flag destinations, e.g. "max_starts");
-explicit flags always win.
+per-flag defaults (keys are flag destinations, e.g. "max_starts"), each
+checked as its flag's text is; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .laws import (
     predict_loss_dense,
     total_params,
 )
+from .records import read_csv_rows
 from .synth import (
     AffineLatencyModel,
     SynthSpec,
@@ -100,23 +101,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _emit(text: str, out_path: str | None):
+    text = text if text.endswith("\n") else text + "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _table_text(rows: list[dict], fmt: str) -> str:
@@ -146,9 +140,7 @@ def _load_json(path: str) -> dict | list:
 def _load_any_params(path: str):
     """params.json holds either law; the dense one is recognized by l0."""
     data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object of parameters")
-    if "l0" in data:
+    if isinstance(data, dict) and "l0" in data:
         return "dense", DenseLawParams.from_dict(data)
     return "moe", ScalingLawParams.from_dict(data)
 
@@ -161,9 +153,7 @@ def _load_moe_params(path: str) -> ScalingLawParams:
 
 
 def _load_hardware(path: str | None) -> HardwareConfig:
-    if path is None:
-        return HardwareConfig()
-    return HardwareConfig.from_dict(_load_json(path))
+    return HardwareConfig() if path is None else HardwareConfig.from_dict(_load_json(path))
 
 
 def _load_profile(path: str) -> LatencyProfile:
@@ -177,16 +167,7 @@ def _load_geometry(args) -> GeometryFit:
     if args.mu is not None:
         return GeometryFit(mu=args.mu)
     if args.geometry is not None:
-        rows = []
-        with open(args.geometry, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"hidden_dim", "n_layers", "n_params"}
-            if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-                missing = sorted(needed - set(reader.fieldnames or []))
-                raise ValueError(f"{args.geometry}: missing columns: {', '.join(missing)}")
-            for rec in reader:
-                rows.append((float(rec["hidden_dim"]), float(rec["n_layers"]), float(rec["n_params"])))
-        return fit_geometry(rows)
+        return fit_geometry(read_csv_rows(args.geometry, ("hidden_dim", "n_layers", "n_params")))
     raise ValueError("KV-cache geometry required: pass --mu or --geometry")
 
 
@@ -239,13 +220,9 @@ def cmd_fit(args) -> int:
         report = fit_dense(dense_runs, config)
     else:
         report = fit_moe(runs, config)
-    with open(args.params, "w") as fh:
-        fh.write(report.params.to_json())
-        fh.write("\n")
+    _emit(report.params.to_json(), args.params)
     if args.report is not None:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(report.to_dict(), indent=2), args.report)
     holdout = repr(report.rmsle_holdout) if report.rmsle_holdout is not None else "n/a"
     print(f"fit: runs={report.n_runs} train={report.n_train} holdout={report.n_holdout} starts={report.starts_run}")
     print(f"objective={report.objective!r} rmsle={report.rmsle!r} rmsle_holdout={holdout}")
@@ -256,58 +233,39 @@ def cmd_fit(args) -> int:
 
 
 def _predict_rows(kind, params, n_dense, d_tokens, experts):
-    """Predicted loss for one row of scalars or for whole columns as arrays.
-
-    Dense-law parameters accept only experts == 1.
-    """
-    if kind == "dense":
-        if np.any(experts != 1.0):
-            raise ValueError("dense-law parameters only predict experts=1 rows")
-        return predict_loss_dense(n_dense, d_tokens, params)
-    return predict_loss(n_dense, d_tokens, experts, params)
+    """Predicted loss for one row of scalars or for whole columns as arrays;
+    dense-law parameters take only experts == 1, and a non-finite loss is an error."""
+    if kind == "dense" and np.any(experts != 1.0):
+        raise ValueError("dense-law parameters only predict experts=1 rows")
+    with np.errstate(all="ignore"):
+        if kind == "dense":
+            loss = predict_loss_dense(n_dense, d_tokens, params)
+        else:
+            loss = predict_loss(n_dense, d_tokens, experts, params)
+    if not np.isfinite(loss).all():
+        raise ValueError("predicted loss is not finite; check the law parameters and the point")
+    return loss
 
 
 def cmd_predict(args) -> int:
     kind, params = _load_any_params(args.params)
     if args.csv is not None:
-        rows = []
-        with open(args.csv, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"n_dense", "d_tokens", "experts"}
-            if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-                missing = sorted(needed - set(reader.fieldnames or []))
-                raise ValueError(f"{args.csv}: missing columns: {', '.join(missing)}")
-            for rec in reader:
-                rows.append(
-                    {
-                        "n_dense": float(rec["n_dense"]),
-                        "d_tokens": float(rec["d_tokens"]),
-                        "experts": float(rec["experts"]),
-                    }
-                )
-        columns = [np.array([row[k] for row in rows]) for k in ("n_dense", "d_tokens", "experts")]
+        names = ("n_dense", "d_tokens", "experts")
+        points = read_csv_rows(args.csv, names)
         try:
-            losses = _predict_rows(kind, params, *columns)
+            losses = _predict_rows(kind, params, *np.array(points).reshape(-1, 3).T)
         except ValueError:
             # Re-run row by row so the error is the one the first bad row
             # raises, whatever faults later rows hold.
-            for row in rows:
-                _predict_rows(kind, params, row["n_dense"], row["d_tokens"], row["experts"])
+            for point in points:
+                _predict_rows(kind, params, *point)
             raise
-        for row, loss in zip(rows, losses.tolist()):
-            row["predicted_loss"] = loss
+        rows = [dict(zip(names, point), predicted_loss=loss) for point, loss in zip(points, losses.tolist())]
         _emit(_table_text(rows, args.format), args.output)
         return 0
     if args.n is None or args.d is None:
         raise ValueError("pass --n and --d (and --e for expert models), or --csv")
-    if kind == "dense":
-        if args.e not in (None, 1.0):
-            raise ValueError("dense-law parameters only predict experts=1")
-        loss = predict_loss_dense(args.n, args.d, params)
-    else:
-        experts = 1.0 if args.e is None else args.e
-        loss = predict_loss(args.n, args.d, experts, params)
-    print(repr(float(loss)))
+    print(repr(float(_predict_rows(kind, params, args.n, args.d, 1.0 if args.e is None else args.e))))
     return 0
 
 
@@ -397,9 +355,7 @@ def cmd_synth_profile(args) -> int:
         _float_list(args.models),
         [int(g) for g in _float_list(args.gpus)],
     )
-    with open(args.output, "w") as fh:
-        fh.write(profile.to_json())
-        fh.write("\n")
+    _emit(profile.to_json(), args.output)
     print(f"wrote {len(profile.samples)} samples to {args.output}")
     return 0
 
@@ -583,10 +539,31 @@ def _apply_config_defaults(parser: argparse.ArgumentParser):
             known.add(action.dest)
             if isinstance(action, argparse._SubParsersAction):
                 stack.extend(action.choices.values())
-        current.set_defaults(**{k: v for k, v in data.items() if k in {a.dest for a in current._actions}})
+            elif action.dest in data:
+                value = _config_value(action, data[action.dest], f"{path}: config key {action.dest!r}")
+                current.set_defaults(**{action.dest: value})
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    """A config value checked and converted as its flag's text would be."""
+    if action.nargs == 0:  # a switch such as --dense
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{where} must be true or false")
+    if action.type in (int, float) and type(value) in (int, float):  # not a bool
+        value = repr(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be {'a string' if action.type is None else 'a number'}")
+    try:
+        value = value if action.type is None else action.type(value)
+    except ValueError:
+        raise ValueError(f"{where}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{where} must be one of {', '.join(action.choices)}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -601,7 +578,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

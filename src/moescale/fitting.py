@@ -38,6 +38,7 @@ from .laws import (
     predict_loss,
     predict_loss_dense,
 )
+from .records import read_csv_rows
 
 __all__ = [
     "TrainingRun",
@@ -199,18 +200,7 @@ class FitReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "objective": self.objective,
-            "rmsle": self.rmsle,
-            "rmsle_holdout": self.rmsle_holdout,
-            "n_runs": self.n_runs,
-            "n_train": self.n_train,
-            "n_holdout": self.n_holdout,
-            "starts_run": self.starts_run,
-            "per_start": [s.to_dict() for s in self.per_start],
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def huber(residuals, delta: float):
@@ -442,6 +432,7 @@ def _split_runs(runs: list[TrainingRun], cfg: FitConfig):
     return train, hold
 
 
+@np.errstate(all="ignore")
 def _screen(points, terms_of, to_theta, bounds, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Raw parameter vector and Huber objective (inf if unusable) of each
     candidate, one per row of nonlinear parameters in ``points``.
@@ -450,9 +441,9 @@ def _screen(points, terms_of, to_theta, bounds, delta: float) -> tuple[np.ndarra
     (S, runs, K) and the log of the bracket the losses imply (S, runs). One
     batched least-squares solve, weighted by 1/target so errors are relative
     like log residuals, gives the coefficients; ``pinv`` tolerates the
-    rank-deficient bases of degenerate designs. A candidate outside
-    ``bounds`` (a coefficient that must be positive is not) or whose bracket
-    reaches the floor is unusable.
+    rank-deficient bases of degenerate designs. A candidate whose weighted
+    terms overflow, that lies outside ``bounds`` (a coefficient that must be
+    positive is not) or whose bracket reaches the floor is unusable.
     """
     lb, ub = np.array(bounds).T
     thetas, objs = [], []
@@ -463,12 +454,13 @@ def _screen(points, terms_of, to_theta, bounds, delta: float) -> tuple[np.ndarra
         # Unit columns keep pinv's cutoff from dropping terms that are
         # merely small (N^-alpha is ~1e-3 at alpha = 0.34).
         norms = np.linalg.norm(scaled, axis=1)
-        coefs = np.linalg.pinv(scaled / norms[:, None, :]).sum(axis=2) / norms
+        unit = scaled / norms[:, None, :]
+        finite = np.isfinite(unit).all(axis=(1, 2))
+        coefs = np.linalg.pinv(np.where(finite[:, None, None], unit, 0.0)).sum(axis=2) / norms
         bracket = np.einsum("srk,sk->sr", terms, coefs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = to_theta(chunk, coefs)
-            resid = np.log(bracket) - log_target
-        usable = np.all((theta >= lb) & (theta <= ub), axis=1) & np.all(bracket > _BRACKET_FLOOR, axis=1)
+        theta = to_theta(chunk, coefs)
+        resid = np.log(bracket) - log_target
+        usable = finite & np.all((theta >= lb) & (theta <= ub), axis=1) & np.all(bracket > _BRACKET_FLOOR, axis=1)
         loss = huber(np.where(usable[:, None], resid, 0.0), delta).sum(axis=1)
         thetas.append(theta)
         objs.append(np.where(usable, loss, np.inf))
@@ -523,6 +515,7 @@ def _polish_least_squares(kernel, data, x_start, bounds, delta):
 _RMSLE_NOTE = "rmsle is in-sample on the training split; rmsle_holdout scores the held-out split"
 
 
+@np.errstate(all="ignore")  # a candidate whose numbers overflow is unusable, not a warning
 def _fit(runs, cfg, *, kernel, separable, bounds, labels, to_params, score, design, min_runs):
     """Screen-then-polish fit shared by both laws.
 
@@ -710,30 +703,8 @@ def fit_dense(runs: Sequence[TrainingRun], config: FitConfig | None = None) -> F
 
 
 def runs_from_csv(path) -> list[TrainingRun]:
-    """Load training runs from a CSV with columns n_dense,d_tokens,experts,val_loss.
-
-    Extra columns are ignored; a missing column or unparseable cell raises
-    ValueError naming the column (and row).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in RUNS_CSV_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"runs CSV missing column(s): {', '.join(missing)}")
-        runs = []
-        for lineno, row in enumerate(reader, start=2):
-            values = {}
-            for col in RUNS_CSV_COLUMNS:
-                cell = row.get(col)
-                try:
-                    values[col] = float(cell)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"runs CSV line {lineno}: column {col!r} has "
-                        f"unparseable value {cell!r}"
-                    ) from None
-            runs.append(TrainingRun(**values))
+    """Load training runs from a CSV with columns n_dense,d_tokens,experts,val_loss; others are ignored."""
+    runs = [TrainingRun(*row) for row in read_csv_rows(path, RUNS_CSV_COLUMNS)]
     if not runs:
         raise ValueError("runs CSV contains no data rows")
     return runs

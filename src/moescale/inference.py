@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ from .errors import (
     UnservableError,
 )
 from .laws import ArchitectureConvention, total_params
+from .records import Record, require_finite
 
 __all__ = [
     "HardwareConfig",
@@ -90,7 +91,7 @@ _BATCH_OVERFLOW = "serving batch must be finite; check the KV geometry and GPU m
 
 
 @dataclass(frozen=True)
-class HardwareConfig:
+class HardwareConfig(Record):
     """Serving hardware and workload shape.
 
     Attributes:
@@ -111,50 +112,19 @@ class HardwareConfig:
     dtype_bytes: float = 2.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        require_finite(self)
         if not self.gpu_mem_bytes > 0:
             raise ValueError("gpu_mem_bytes must be positive")
         if self.max_gpus < 1:
             raise ValueError("max_gpus must be >= 1")
         if not self.cost_per_gpu_second > 0:
             raise ValueError("cost_per_gpu_second must be positive")
+        if not math.isfinite(self.cost_per_gpu_second * self.max_gpus):
+            raise ValueError("cost_per_gpu_second times max_gpus must be finite")
         if self.prompt_len < 1 or self.output_len < 1:
             raise ValueError("prompt_len and output_len must be >= 1")
         if not self.dtype_bytes > 0:
             raise ValueError("dtype_bytes must be positive")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HardwareConfig":
-        """Build from a flat dict; missing keys fall back to the defaults,
-        unknown keys are rejected, and non-finite values are left for
-        ``__post_init__`` to name."""
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(f"unknown keys for HardwareConfig: {', '.join(unknown)}")
-        kwargs = dict(data)
-        for key in ("max_gpus", "prompt_len", "output_len"):
-            if key in kwargs and math.isfinite(float(kwargs[key])):
-                value = kwargs[key]
-                if float(value) != int(value):
-                    raise ValueError(f"{key} must be an integer")
-                kwargs[key] = int(value)
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HardwareConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("expected a flat JSON object of hardware fields")
-        return cls.from_dict(data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -169,6 +139,8 @@ class GeometryFit:
     rows: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
 
@@ -194,7 +166,8 @@ def fit_geometry(rows: Sequence[tuple[float, float, float]]) -> GeometryFit:
             raise ValueError("geometry rows must be positive (hidden, layers, params)")
     basis = np.array([n ** (2.0 / 3.0) for _, _, n in rows])
     target = np.array([h * l for h, l, _ in rows])
-    mu = float(np.sum(target * basis) / np.sum(basis * basis))
+    with np.errstate(all="ignore"):  # sizes near float range overflow; GeometryFit names the result
+        mu = float(np.sum(target * basis) / np.sum(basis * basis))
     return GeometryFit(mu=mu, rows=tuple((float(h), float(l), float(n)) for h, l, n in rows))
 
 
@@ -204,7 +177,7 @@ def kv_cache_bytes_per_token(n_dense: float, geom: GeometryFit, hw: HardwareConf
 
 
 @dataclass(frozen=True)
-class LatencySample:
+class LatencySample(Record):
     """One measured iteration: a stage at a batch size on a model/GPU pair."""
 
     stage: str
@@ -359,45 +332,10 @@ class LatencyProfile:
         data = json.loads(text)
         if not isinstance(data, list):
             raise ValueError("profile JSON must be an array of sample objects")
-        required = ("stage", "model_bytes", "gpus", "batch", "latency_s")
-        samples = []
-        for i, item in enumerate(data):
-            if not isinstance(item, dict):
-                raise ValueError(f"profile entry {i} is not an object")
-            missing = [k for k in required if k not in item]
-            if missing:
-                raise ValueError(f"profile entry {i} missing keys: {', '.join(missing)}")
-            unknown = sorted(set(item) - set(required))
-            if unknown:
-                raise ValueError(f"profile entry {i} has unknown keys: {', '.join(unknown)}")
-            gpus = item["gpus"]
-            if float(gpus) != int(gpus):
-                raise ValueError(f"profile entry {i}: gpus must be an integer")
-            samples.append(
-                LatencySample(
-                    stage=item["stage"],
-                    model_bytes=float(item["model_bytes"]),
-                    gpus=int(gpus),
-                    batch=float(item["batch"]),
-                    latency_s=float(item["latency_s"]),
-                )
-            )
-        return cls(samples)
+        return cls([LatencySample.from_dict(item, f"profile entry {i}: ") for i, item in enumerate(data)])
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "stage": s.stage,
-                    "model_bytes": s.model_bytes,
-                    "gpus": s.gpus,
-                    "batch": s.batch,
-                    "latency_s": s.latency_s,
-                }
-                for s in self._samples
-            ],
-            indent=2,
-        )
+        return json.dumps([s.to_dict() for s in self._samples], indent=2)
 
 
 class _PaddedGrid(NamedTuple):

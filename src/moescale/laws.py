@@ -20,11 +20,12 @@ them and the allocation searches. ``_loss`` keeps numpy's ufuncs, since
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+
+from .records import Record, require_finite
 
 __all__ = [
     "ArchitectureConvention",
@@ -71,6 +72,7 @@ class ArchitectureConvention:
     flops_per_param_token: float = 6.0
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.ffn_fraction <= 1.0:
             raise ValueError("ffn_fraction must lie in [0, 1]")
         if self.top_k < 1:
@@ -79,20 +81,8 @@ class ArchitectureConvention:
             raise ValueError("flops_per_param_token must be positive")
 
 
-def _validated_flat_dict(cls, data: dict) -> dict:
-    """Check a flat JSON-style dict against a dataclass' field set."""
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise ValueError(f"unknown keys for {cls.__name__}: {', '.join(unknown)}")
-    missing = sorted(set(names) - set(data))
-    if missing:
-        raise ValueError(f"missing keys for {cls.__name__}: {', '.join(missing)}")
-    return {name: float(data[name]) for name in names}
-
-
 @dataclass(frozen=True)
-class ScalingLawParams:
+class ScalingLawParams(Record):
     """Fitted constants of the expert-aware loss law.
 
     The law evaluated by :func:`predict_loss` is
@@ -119,6 +109,7 @@ class ScalingLawParams:
     e_max: float
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("coef_N", "coef_E", "coef_D"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -130,32 +121,10 @@ class ScalingLawParams:
             raise ValueError("e_start must be >= 1")
         if not self.e_max > self.e_start:
             raise ValueError("e_max must exceed e_start")
-        if not np.isfinite(self.e_max):
-            raise ValueError("e_start and e_max must be finite")
-        for name in ("irreducible", "interaction"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalingLawParams":
-        return cls(**_validated_flat_dict(cls, data))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalingLawParams":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("expected a flat JSON object of law parameters")
-        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)
-class DenseLawParams:
+class DenseLawParams(Record):
     """Constants of the two-term dense loss law used by the closed form.
 
     :func:`predict_loss_dense` evaluates
@@ -170,6 +139,7 @@ class DenseLawParams:
     beta: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.l0 < 0:
             raise ValueError("l0 must be >= 0")
         for name in ("coef_N", "coef_D"):
@@ -178,23 +148,6 @@ class DenseLawParams:
         for name in ("alpha", "beta"):
             if not 0.0 < getattr(self, name) <= 4.0:
                 raise ValueError(f"{name} must lie in (0, 4]")
-
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DenseLawParams":
-        return cls(**_validated_flat_dict(cls, data))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DenseLawParams":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("expected a flat JSON object of law parameters")
-        return cls.from_dict(data)
 
 
 def effective_experts(E, e_start: float, e_max: float):

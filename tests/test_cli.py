@@ -581,8 +581,8 @@ class TestNumericFlags:
     @staticmethod
     def run_main(argv):
         """Run the CLI in process with warnings as errors, check that it ends
-        in an exit code with one error line or none (and, for cost, no nan
-        cost on a feasible row), and return the code and stderr."""
+        in an exit code with one error line or none (and, for cost, no nan or
+        inf cost on a feasible row), and return the code and stderr."""
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
@@ -594,7 +594,7 @@ class TestNumericFlags:
             assert err.getvalue() == ""
         if argv[0] == "cost" and code == 0:
             feasible = [r for r in parse_csv(out.getvalue()) if r["feasible"] == "True"]
-            assert not any(math.isnan(float(r["cost_per_token"])) for r in feasible)
+            assert all(math.isfinite(float(r["cost_per_token"])) for r in feasible)
         return code, err.getvalue()
 
     @settings(max_examples=100, deadline=None)
@@ -631,3 +631,202 @@ class TestNumericFlags:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {field} must be finite\n"
+
+    @pytest.mark.parametrize("command", ["cost", "allocate"])
+    def test_price_that_overflows_over_gpus_is_named(self, files, tmp_path, command):
+        """A price whose product with max_gpus overflows is a hardware field
+        error, not a table of inf costs or an answer priced near 1e304."""
+        (tmp_path / "hw.json").write_text(json.dumps({"cost_per_gpu_second": 1.7e308}))
+        serving = ["--hardware", str(tmp_path / "hw.json"), "--profile", str(files / "profile.json"), "--mu=0.03"]
+        if command == "cost":
+            argv = ["cost", "--n=1e9", "--e=8", *serving]
+        else:
+            argv = ["allocate", "--params", str(files / "truth.json"), "--budget=1e20", "--mode", "bound-cost",
+                    "--e-base=4", "--e-prime=16", *serving]
+        assert self.run_main(argv) == (1, "error: cost_per_gpu_second times max_gpus must be finite\n")
+
+
+def finite_number(value):
+    """Whether a JSON value is what a numeric field takes: a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        return False
+
+
+def finite_text(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+# Any JSON value a file field may hold. A numeric max_gpus stays small: the
+# cost grid has one column per GPU count.
+NON_NUMBERS = st.one_of(
+    st.text(max_size=6), st.sampled_from(["0.34", "8", "Infinity"]), st.booleans(), st.none(),
+    st.lists(st.floats(), max_size=2), st.just({}),
+)
+FIELD_NUMBERS = st.one_of(HARDWARE_NUMBERS, st.integers(), st.just(10**400))
+CELL_TEXTS = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-Infinity", "1e400", "abc", "0", "-1", "5e-324", "1.7e308", "1_0"]),
+    st.text(max_size=8),
+)
+
+
+class TestInputFiles:
+    """Every file the CLI reads passes one reader: any value in any field or
+    cell ends in an exit code with at most one error line, and a value of the
+    wrong type or a non-finite number names its field or column."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["moe", "dense", "hardware", "profile"]), data=st.data())
+    def test_any_json_value_in_any_field(self, files, kind, data):
+        where = ""
+        cost = ["cost", "--n=1e9", "--e=8", "--geometry", str(files / "geometry.csv")]
+        if kind in ("moe", "dense"):
+            payload = record = (TRUTH if kind == "moe" else DENSE_TRUTH).to_dict()
+            argv = ["predict", "--n=1e9", "--d=1e10", "--e=1", "--params"]
+        elif kind == "hardware":
+            payload = record = json.loads((files / "hw.json").read_text())
+            argv = [*cost, "--profile", str(files / "profile.json"), "--hardware"]
+        else:
+            payload = json.loads((files / "profile.json").read_text())
+            entry = data.draw(st.integers(0, len(payload) - 1), label="entry")
+            record, where = payload[entry], f"profile entry {entry}: "
+            argv = [*cost, "--hardware", str(files / "hw.json"), "--profile"]
+        field = data.draw(st.sampled_from(sorted(record)), label="field")
+        numbers = MAX_GPUS if field == "max_gpus" else FIELD_NUMBERS
+        record[field] = value = data.draw(st.one_of(numbers, NON_NUMBERS), label="value")
+        path = files / "fuzzed.json"
+        path.write_text(json.dumps(payload))
+        code, err = TestNumericFlags.run_main(argv + [str(path)])
+        if not (isinstance(value, str) if field == "stage" else finite_number(value)):
+            assert code == 1 and re.match(f"error: {where}{field} must be", err), err
+
+    @settings(max_examples=90, deadline=None)
+    @given(kind=st.sampled_from(["runs", "predict", "geometry"]), data=st.data())
+    def test_any_text_in_any_csv_cell(self, files, kind, data):
+        with open(files / "runs.csv", newline="") as fh:
+            runs = list(csv.reader(fh))
+        if kind == "runs":
+            rows = runs[:41]
+        elif kind == "predict":
+            rows = [r[:3] for r in runs[:11]]
+        else:
+            rows = [["hidden_dim", "n_layers", "n_params"], *[[repr(v) for v in r] for r in GEOMETRY_ROWS]]
+        line = data.draw(st.integers(2, len(rows)), label="line")
+        column = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+        if data.draw(st.booleans(), label="drop the rest of the row"):
+            rows[line - 1] = rows[line - 1][:column]
+            bad = column > 0  # an empty row is a blank line, which is skipped
+        else:
+            rows[line - 1][column] = text = data.draw(CELL_TEXTS, label="text")
+            bad = not finite_text(text)
+        path = files / f"fuzzed_{kind}.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        argv = {
+            "runs": ["fit", "--runs", str(path), "--params", str(files / "fuzzed_fit.json"), "--max-starts=2"],
+            "predict": ["predict", "--params", str(files / "truth.json"), "--csv", str(path)],
+            "geometry": ["cost", "--n=1e9", "--e=8", "--profile", str(files / "profile.json"), "--geometry", str(path)],
+        }[kind]
+        code, err = TestNumericFlags.run_main(argv)
+        if bad:
+            assert code == 1 and err.startswith(f"error: {path}: line ") and f"column {rows[0][column]!r}" in err, err
+
+
+GEOMETRY_HEADER = "hidden_dim,n_layers,n_params\n768,12,81395712\n"
+PREDICT_CSV = ["predict", "--params", "{truth}", "--csv", "{path}"]
+PREDICT_POINT = ["predict", "--n=1e9", "--d=1e10", "--e=8", "--params", "{path}"]
+COST = ["cost", "--n=1e9", "--e=8"]
+COST_WITH_GEOMETRY = [*COST, "--profile", "{profile}", "--geometry", "{path}"]
+COST_WITH_HARDWARE = [*COST, "--mu=0.03", "--profile", "{profile}", "--hardware", "{path}"]
+ALLOCATE = ["allocate", "--params", "{truth}", "--budget=1e20", "--profile", "{profile}", "--mu=0.03"]
+FIT = ["fit", "--runs", "{runs}", "--params", "{out}"]
+SYNTH_RUNS = ["synth", "runs", "--params", "{truth}", "--sizes=1e8", "--tokens=1e10", "--experts=8", "-o", "{out}"]
+LOSS_OVERFLOW = "predicted loss is not finite; check the law parameters and the point"
+
+
+def _truth_with(**fields):
+    return json.dumps({**TRUTH.to_dict(), **fields})
+
+
+def _profile_with_null_gpus(files):
+    samples = json.loads((files / "profile.json").read_text())
+    samples[3]["gpus"] = None
+    return json.dumps(samples)
+
+
+# case -> (file name, its text or a builder of it, argv, the one error line's
+# message); {path} is the file, and a config file is named by MOESCALE_CONFIG.
+MALFORMED_INPUTS = {
+    "predict_csv_short_row": (
+        "points.csv", "n_dense,d_tokens,experts\n1e9,1e10,8\n1e9,1e10\n", PREDICT_CSV,
+        "{path}: line 3, column 'experts': the cell is missing",
+    ),
+    "predict_csv_text_cell": (
+        "points.csv", "n_dense,d_tokens,experts\n1e9,abc,8\n", PREDICT_CSV,
+        "{path}: line 2, column 'd_tokens': 'abc' is not a number",
+    ),
+    "geometry_short_row": (
+        "geometry.csv", GEOMETRY_HEADER + "1024,16\n", COST_WITH_GEOMETRY,
+        "{path}: line 3, column 'n_params': the cell is missing",
+    ),
+    "geometry_infinite_size": (
+        "geometry.csv", GEOMETRY_HEADER + "1024,16,inf\n", COST_WITH_GEOMETRY,
+        "{path}: line 3, column 'n_params': 'inf' is not finite",
+    ),
+    "runs_csv_infinite_cell": (
+        "runs.csv", "n_dense,d_tokens,experts,val_loss\n1e8,2.5e9,1,3.2\n1e8,inf,4,3.0\n",
+        ["fit", "--runs", "{path}", "--params", "{out}"], "{path}: line 3, column 'd_tokens': 'inf' is not finite",
+    ),
+    "params_list_value": ("params.json", _truth_with(alpha=[0.34]), PREDICT_POINT, "alpha must be a number"),
+    "params_numeric_string": ("params.json", _truth_with(alpha="0.34"), PREDICT_POINT, "alpha must be a number"),
+    "params_infinite_value": ("params.json", _truth_with(coef_N=math.inf), PREDICT_POINT, "coef_N must be finite"),
+    "params_infinite_value_allocate": (
+        "params.json", _truth_with(coef_N=math.inf), [*ALLOCATE[:2], "{path}", *ALLOCATE[3:]], "coef_N must be finite",
+    ),
+    "params_overflowing_loss": ("params.json", _truth_with(interaction=1e3), PREDICT_POINT, LOSS_OVERFLOW),
+    "profile_null_gpus": (
+        "profile.json", _profile_with_null_gpus, [*COST, "--mu=0.03", "--profile", "{path}"],
+        "profile entry 3: gpus must be a number",
+    ),
+    "hardware_string_memory": (
+        "hw.json", '{"gpu_mem_bytes": "1e9"}', COST_WITH_HARDWARE, "gpu_mem_bytes must be a number",
+    ),
+    "hardware_bool_max_gpus": ("hw.json", '{"max_gpus": true}', COST_WITH_HARDWARE, "max_gpus must be a number"),
+    "config_list_value": ("config.json", '{"rel_tol": [1]}', ALLOCATE, "{path}: config key 'rel_tol' must be a number"),
+    "config_null_value": ("config.json", '{"sigma": null}', SYNTH_RUNS, "{path}: config key 'sigma' must be a number"),
+    "config_text_value": (
+        "config.json", '{"rel_tol": "abc"}', ALLOCATE, "{path}: config key 'rel_tol': invalid float value 'abc'",
+    ),
+    "config_fractional_int": (
+        "config.json", '{"max_starts": 2.5}', FIT, "{path}: config key 'max_starts': invalid int value '2.5'",
+    ),
+    "config_unknown_choice": (
+        "config.json", '{"format": "xml"}', [*COST, "--mu=0.03", "--profile", "{profile}"],
+        "{path}: config key 'format' must be one of csv, json",
+    ),
+    "config_switch_number": ("config.json", '{"dense": 1}', FIT, "{path}: config key 'dense' must be true or false"),
+    "flag_nan_top_k": (None, None, [*ALLOCATE, "--top-k=nan"], "top_k must be finite"),
+    "flag_infinite_mu": (None, None, [*COST, "--mu=inf", "--profile", "{profile}"], "mu must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_one_naming_it(files, tmp_path, monkeypatch, case):
+    """Each malformed file, config value or non-finite record field exits 1
+    with one error line naming the field, or the file, line and column."""
+    name, text, argv, message = MALFORMED_INPUTS[case]
+    path = tmp_path / (name or "unused")
+    if text is not None:
+        path.write_text(text(files) if callable(text) else text)
+    if name == "config.json":
+        monkeypatch.setenv("MOESCALE_CONFIG", str(path))
+    names = {"path": path, "truth": files / "truth.json", "profile": files / "profile.json",
+             "runs": files / "runs.csv", "out": tmp_path / "out"}
+    code, err = TestNumericFlags.run_main([arg.format(**names) for arg in argv])
+    assert (code, err) == (1, f"error: {message.format(**names)}\n")

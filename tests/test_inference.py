@@ -95,6 +95,15 @@ class TestGeometryFit:
         # frozen so downstream oracles are stable
         assert geom.mu == 0.033849246460112156
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            GeometryFit(mu=mu)
+
+    def test_sizes_that_overflow_the_fit_are_rejected(self):
+        with pytest.raises(ValueError, match="^mu must be positive$"):
+            fit_geometry([(768.0, 12.0, 1.7e308)])
+
     def test_hidden_layer_product(self):
         geom = GeometryFit(mu=2.0)
         np.testing.assert_allclose(
@@ -255,6 +264,18 @@ class TestLatencyProfile:
     def test_json_round_trip(self, affine):
         back = LatencyProfile.from_json(affine.to_json())
         assert back.samples == affine.samples
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("gpus", None, "gpus must be a number"), ("gpus", 1.5, "gpus must be an integer"),
+         ("batch", "64", "batch must be a number"), ("latency_s", math.nan, "latency_s must be finite"),
+         ("stage", 1, "stage must be a string")],
+    )
+    def test_json_entry_field_is_named(self, affine, field, value, message):
+        samples = json.loads(affine.to_json())
+        samples[5][field] = value
+        with pytest.raises(ValueError, match=f"^profile entry 5: {message}$"):
+            LatencyProfile.from_json(json.dumps(samples))
 
     def test_json_rejects_unknown_and_missing_keys(self):
         row = {"stage": "decode", "model_bytes": 1e8, "gpus": 1, "batch": 1.0, "latency_s": 0.01}
@@ -505,6 +526,31 @@ class TestHardwareConfig:
 
     def test_json_round_trip(self, hw):
         assert HardwareConfig.from_json(hw.to_json()) == hw
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_gpus", "8", "max_gpus must be a number"),
+            ("max_gpus", True, "max_gpus must be a number"),
+            ("gpu_mem_bytes", "1e9", "gpu_mem_bytes must be a number"),
+            ("prompt_len", None, "prompt_len must be a number"),
+            ("output_len", 10**400, "output_len must be finite"),
+        ],
+        ids=["numeric_string", "bool", "memory_string", "null", "integer_past_float_range"],
+    )
+    def test_from_dict_takes_only_finite_numbers(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HardwareConfig.from_dict({field: value})
+
+    def test_from_dict_converts_integral_floats(self):
+        cfg = HardwareConfig.from_dict({"max_gpus": 4.0, "gpu_mem_bytes": 2**30})
+        assert (cfg.max_gpus, cfg.gpu_mem_bytes) == (4, 2.0**30)
+        assert isinstance(cfg.max_gpus, int) and isinstance(cfg.gpu_mem_bytes, float)
+
+    def test_price_overflowing_over_max_gpus_rejected(self):
+        HardwareConfig(cost_per_gpu_second=1.0e307, max_gpus=8)
+        with pytest.raises(ValueError, match="^cost_per_gpu_second times max_gpus must be finite$"):
+            HardwareConfig(cost_per_gpu_second=1.0e308, max_gpus=2)
 
 
 class TestUnservable:

@@ -320,6 +320,42 @@ class TestParamSerialization:
         with pytest.raises(ValueError):
             dataclasses.replace(TRUTH, **{field: value})
 
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [
+            (TRUTH, "coef_N", math.inf),
+            (TRUTH, "alpha", math.nan),
+            (TRUTH, "e_start", math.inf),
+            (DENSE_TRUTH, "l0", math.nan),
+            (DENSE_TRUTH, "coef_D", math.inf),
+            (ArchitectureConvention(), "flops_per_param_token", math.inf),
+            (ArchitectureConvention(), "top_k", math.nan),
+            (ArchitectureConvention(), "ffn_fraction", math.nan),
+        ],
+    )
+    def test_non_finite_field_is_named(self, record, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            dataclasses.replace(record, **{field: value})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0.34", "alpha must be a number"), (True, "alpha must be a number"), (None, "alpha must be a number"),
+         ([0.34], "alpha must be a number"), (math.inf, "alpha must be finite"), (10**400, "alpha must be finite")],
+        ids=["numeric_string", "bool", "null", "list", "infinity", "integer_past_float_range"],
+    )
+    def test_from_dict_takes_only_finite_numbers(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScalingLawParams.from_dict({**TRUTH.to_dict(), "alpha": value})
+
+    def test_from_dict_converts_integers_to_float(self):
+        params = DenseLawParams.from_dict({**DENSE_TRUTH.to_dict(), "l0": 2})
+        assert params.l0 == 2.0 and isinstance(params.l0, float)
+        assert params.to_json() == DenseLawParams.from_json(params.to_json()).to_json()
+
+    def test_from_json_rejects_a_non_object(self):
+        with pytest.raises(ValueError, match="expected a JSON object of DenseLawParams fields"):
+            DenseLawParams.from_json("[1.69]")
+
     def test_dense_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             dataclasses.replace(DENSE_TRUTH, coef_N=0.0)
